@@ -16,6 +16,15 @@ Features per block of the surface S(i,j) = (x1, x2, x3):
              least-squares plane (sqrt of the smallest scatter eigenvalue
              over the point count)
 
+All blocks are evaluated in one batched pass over a (B, 8, 8, 3) stack of
+the surface's blocks: one Laplacian, one batched cross product and one
+stacked SVD for the whole surface.  Each reduction runs over one
+contiguous per-block row (36 Laplacian norms, 49 cell areas, 64 points)
+in the order a block-by-block loop sums it, so the features are
+bit-identical to that loop's, and a block's features do not depend on
+whether it is evaluated alone (block_features) or with the rest of the
+surface (raw_features).
+
 Raw features are normalized per channel to [0,1] by a robust percentile
 map; the fuzzy system turns them into a crisp weight, and a slot is
 eligible iff its weight classifies as HIGH or HIGHER.
@@ -58,16 +67,53 @@ def reference_surface(m: GridModel, directions) -> GridModel:
 # ---------------------------------------------------------------------------
 # Raw block features
 
-def _triangle_areas(pts: np.ndarray) -> float:
-    # pts: (8, 8, 3) block points; cells split along the main diagonal.
-    p00 = pts[:-1, :-1]
-    p01 = pts[:-1, 1:]
-    p10 = pts[1:, :-1]
-    p11 = pts[1:, 1:]
+def _block_points(ref: GridModel, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """(B, 8, 8, 3) contiguous stack of the 8x8 blocks of ref[rows, cols],
+    row-major over block positions; the last axis is (x1, x2, x3)."""
+    pts = np.stack([ref.x1[rows, cols], ref.x2[rows, cols], ref.x3[rows, cols]], axis=-1)
+    nr, nc = pts.shape[0] // 8, pts.shape[1] // 8
+    pts = pts[: 8 * nr, : 8 * nc]
+    return pts.reshape(nr, 8, nc, 8, 3).swapaxes(1, 2).reshape(nr * nc, 8, 8, 3)
+
+
+def _features(pts: np.ndarray):
+    """Raw (curvature, area, bumpiness), each of shape (B,), of a (B, 8, 8, 3)
+    block stack.  Every reduction runs over one contiguous per-block row, so
+    a block's features do not depend on how many blocks share the call."""
+    count = pts.shape[0]
+
+    lap = (
+        pts[:, :-2, 1:-1]
+        + pts[:, 2:, 1:-1]
+        + pts[:, 1:-1, :-2]
+        + pts[:, 1:-1, 2:]
+        - 4.0 * pts[:, 1:-1, 1:-1]
+    )
+    curvature = np.linalg.norm(lap, axis=-1).reshape(count, 36).mean(axis=1)
+
+    # cells split along the main diagonal; half cross-product norms
+    p00 = pts[:, :-1, :-1]
+    p01 = pts[:, :-1, 1:]
+    p10 = pts[:, 1:, :-1]
+    p11 = pts[:, 1:, 1:]
     c1 = np.cross(p10 - p00, p11 - p00)
     c2 = np.cross(p11 - p00, p01 - p00)
     areas = 0.5 * np.linalg.norm(c1, axis=-1) + 0.5 * np.linalg.norm(c2, axis=-1)
-    return float(areas.sum())
+    area = areas.reshape(count, 49).sum(axis=1)
+
+    # RMS orthogonal distance to the best-fit plane = smallest singular
+    # value of the centered points / sqrt(count).  Steep blocks make the
+    # spread ratio along the principal axes enormous, so normalize before
+    # the SVD and scale back; going through the squared scatter matrix
+    # instead would double that ratio and lose the small end entirely.
+    flat = pts.reshape(count, 64, 3)
+    centered = flat - flat.mean(axis=1)[:, None, :]
+    spread = np.abs(centered).max(axis=(1, 2))
+    point = spread == 0.0  # the block is a single point: bumpiness 0
+    sv = np.linalg.svd(centered / np.where(point, 1.0, spread)[:, None, None], compute_uv=False)
+    bumpiness = np.where(point, 0.0, spread * sv[:, -1] / math.sqrt(64))
+
+    return curvature, area, bumpiness
 
 
 def block_features(ref: GridModel, u: int, v: int):
@@ -75,35 +121,8 @@ def block_features(ref: GridModel, u: int, v: int):
     nb = ref.n // 8
     if not (0 <= u < nb and 0 <= v < nb):
         raise DimensionError(f"block ({u},{v}) out of range for side {ref.n}")
-    sl = (slice(8 * u, 8 * u + 8), slice(8 * v, 8 * v + 8))
-    pts = np.stack([ref.x1[sl], ref.x2[sl], ref.x3[sl]], axis=-1)
-
-    lap = (
-        pts[:-2, 1:-1]
-        + pts[2:, 1:-1]
-        + pts[1:-1, :-2]
-        + pts[1:-1, 2:]
-        - 4.0 * pts[1:-1, 1:-1]
-    )
-    curvature = float(np.linalg.norm(lap, axis=-1).mean())
-
-    area = _triangle_areas(pts)
-
-    # RMS orthogonal distance to the best-fit plane = smallest singular
-    # value of the centered points / sqrt(count).  Steep blocks make the
-    # spread ratio along the principal axes enormous, so normalize before
-    # the SVD and scale back; going through the squared scatter matrix
-    # instead would double that ratio and lose the small end entirely.
-    flat = pts.reshape(-1, 3)
-    centered = flat - flat.mean(axis=0)
-    spread = float(np.abs(centered).max())
-    if spread == 0.0:
-        bumpiness = 0.0
-    else:
-        sv = np.linalg.svd(centered / spread, compute_uv=False)
-        bumpiness = spread * float(sv[-1]) / math.sqrt(flat.shape[0])
-
-    return curvature, area, bumpiness
+    pts = _block_points(ref, slice(8 * u, 8 * u + 8), slice(8 * v, 8 * v + 8))
+    return tuple(float(x[0]) for x in _features(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +161,9 @@ class WeightField:
 
 
 def raw_features(ref: GridModel) -> FeatureField:
+    """Raw features of every block position, as (N/8, N/8) arrays."""
     nb = ref.n // 8
-    c = np.empty((nb, nb))
-    a = np.empty((nb, nb))
-    b = np.empty((nb, nb))
-    for u in range(nb):
-        for v in range(nb):
-            c[u, v], a[u, v], b[u, v] = block_features(ref, u, v)
-    return FeatureField(c, a, b)
+    return FeatureField(*(x.reshape(nb, nb) for x in _features(_block_points(ref))))
 
 
 def _normalize_channel(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,17 @@ the consequent set is clipped at that strength, clipped sets are aggregated
 pointwise by max, and the crisp output is the centroid of the aggregate on
 a fixed 1001-point discretization of [0, 1].
 
+The vectorized evaluate_many aggregates per output term rather than per
+rule: it takes the max of the strengths of all rules that share a
+consequent term, then clips that term's set once, and only over the grid
+columns where the term's membership is nonzero.  Because min and max
+select one of their operands without rounding,
+
+    max(min(s1, mu), min(s2, mu)) == min(max(s1, s2), mu)
+
+holds exactly, so the aggregate, and with it the crisp output, is
+bit-identical to clipping one set per rule.
+
 Rule language, one statement per rule, case-insensitive keywords:
 
     IF curvature IS MEDIUM AND bumpiness IS MEDIUM AND area IS LOW
@@ -16,6 +27,7 @@ An optional trailing ``WEIGHT 0.5`` scales the rule; ``#`` starts a comment.
 Only AND is supported as a connective.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -405,20 +417,40 @@ def evaluate(sys: FuzzySystem, curvature, bumpiness, area) -> float:
 
 
 def evaluate_many(sys: FuzzySystem, curvature, bumpiness, area) -> np.ndarray:
-    """Vectorized evaluate over equal-length input arrays."""
+    """Vectorized evaluate over equal-length input arrays.
+
+    Each input term is fuzzified once, rule strengths are folded per output
+    term by max before clipping, and each term is clipped only over the
+    grid columns where its membership is nonzero.  The aggregate equals the
+    rule-by-rule one exactly (see the module docstring)."""
     values = {
         "curvature": np.clip(np.asarray(curvature, float).ravel(), *sys.input("curvature").universe),
         "bumpiness": np.clip(np.asarray(bumpiness, float).ravel(), *sys.input("bumpiness").universe),
         "area": np.clip(np.asarray(area, float).ravel(), *sys.input("area").universe),
     }
+    mu = {
+        (name, term): mf.membership(x)
+        for name, x in values.items()
+        for term, mf in sys.input(name).terms
+    }
+    strength = {}
+    for rule in sys.rules:
+        s = rule.weight * functools.reduce(np.minimum, (mu[a] for a in rule.antecedents))
+        term = rule.consequent[1]
+        strength[term] = np.maximum(strength[term], s) if term in strength else s
+
     m = values["curvature"].size
     lo, hi = sys.output.universe
     grid = lo + (hi - lo) * _GRID
     agg = np.zeros((m, CENTROID_POINTS))
-    for rule in sys.rules:
-        strength = np.asarray(_rule_strength(sys, rule, values), dtype=float)
-        mf = sys.output.term(rule.consequent[1]).membership(grid)
-        np.maximum(agg, np.minimum(strength[:, None], mf[None, :]), out=agg)
+    for term, s in strength.items():
+        mf = sys.output.term(term).membership(grid)
+        nonzero = np.flatnonzero(mf)
+        if nonzero.size == 0:
+            continue
+        cols = slice(nonzero[0], nonzero[-1] + 1)
+        support = agg[:, cols]
+        np.maximum(support, np.minimum(s[:, None], mf[cols]), out=support)
     mass = agg.sum(axis=1)
     if (mass == 0.0).any():
         raise EmptyAggregateError("no rule fired for some inputs; aggregate set is empty")

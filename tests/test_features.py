@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridmark import EmbedConfig, generate_model
+from gridmark import EmbedConfig, GridModel, generate_model
 from gridmark.errors import DimensionError
 from gridmark.features import (
     ELIGIBLE_TERMS,
@@ -17,7 +17,7 @@ from gridmark.features import (
 )
 from gridmark.fuzzy import make_system, weight_class
 from gridmark.wavelet import ALL_LEVEL3_BANDS, EMBED_BANDS, decompose3
-from gridmark.attacks import scale, translate
+from gridmark.attacks import apply, parse_attack, scale, translate
 
 DIRS = ("x1", "x2")
 
@@ -113,6 +113,96 @@ def test_raw_features_shapes(harmonic64):
     for ch in (field.curvature, field.area, field.bumpiness):
         assert ch.shape == (8, 8) and np.isfinite(ch).all()
     assert field.curvature[2, 4] == block_features(harmonic64, 2, 4)[0]
+
+
+# ---------------------------------------------------------------------------
+# The per-block loop the batched kernel replaced, kept as an exact reference:
+# the batched pass must reproduce it bit for bit, not just within a tolerance,
+# because one flipped eligibility decision changes the extracted bits.
+
+def loop_block_features(ref, u, v):
+    sl = (slice(8 * u, 8 * u + 8), slice(8 * v, 8 * v + 8))
+    pts = np.stack([ref.x1[sl], ref.x2[sl], ref.x3[sl]], axis=-1)
+    lap = (
+        pts[:-2, 1:-1]
+        + pts[2:, 1:-1]
+        + pts[1:-1, :-2]
+        + pts[1:-1, 2:]
+        - 4.0 * pts[1:-1, 1:-1]
+    )
+    curvature = float(np.linalg.norm(lap, axis=-1).mean())
+
+    p00, p01, p10, p11 = pts[:-1, :-1], pts[:-1, 1:], pts[1:, :-1], pts[1:, 1:]
+    c1 = np.cross(p10 - p00, p11 - p00)
+    c2 = np.cross(p11 - p00, p01 - p00)
+    area = float((0.5 * np.linalg.norm(c1, axis=-1) + 0.5 * np.linalg.norm(c2, axis=-1)).sum())
+
+    flat = pts.reshape(-1, 3)
+    centered = flat - flat.mean(axis=0)
+    spread = float(np.abs(centered).max())
+    if spread == 0.0:
+        bumpiness = 0.0
+    else:
+        sv = np.linalg.svd(centered / spread, compute_uv=False)
+        bumpiness = spread * float(sv[-1]) / math.sqrt(flat.shape[0])
+    return curvature, area, bumpiness
+
+
+def loop_raw_features(ref):
+    nb = ref.n // 8
+    c, a, b = (np.empty((nb, nb)) for _ in range(3))
+    for u in range(nb):
+        for v in range(nb):
+            c[u, v], a[u, v], b[u, v] = loop_block_features(ref, u, v)
+    return FeatureField(c, a, b)
+
+
+def block_constant_model(n=256, seed=5):
+    """Every other block is a single repeated point (spread 0, bumpiness 0);
+    the rest are noise."""
+    rng = np.random.default_rng(seed)
+    nb = n // 8
+    flat = np.kron(np.add.outer(np.arange(nb), np.arange(nb)) % 2 == 0, np.ones((8, 8), dtype=bool))
+    mats = []
+    for _ in range(3):
+        # integer levels, so a block's mean is exactly its level
+        level = np.kron(rng.integers(-100, 100, size=(nb, nb)), np.ones((8, 8)))
+        mats.append(np.where(flat, level, rng.normal(size=(n, n))))
+    return GridModel(*mats)
+
+
+@pytest.fixture(scope="module")
+def exact_surfaces(desk_models):
+    surfaces = dict(desk_models)
+    surfaces["plane"] = generate_model("plane", 256)
+    surfaces["noise"] = apply(desk_models["bumps"], parse_attack("randomnoise:a=0.1,seed=103"))[0]
+    surfaces["smoothed"] = apply(desk_models["harmonic"], parse_attack("gaussian:hsize=7,sigma=10"))[0]
+    refs = {name: reference_surface(m, DIRS) for name, m in surfaces.items()}
+    # taken as is: the reference surface's round trip leaves ulp-level spread
+    refs["block-constant"] = block_constant_model()
+    return refs
+
+
+@pytest.mark.parametrize(
+    "name", ["bumps", "harmonic", "meshgrid", "plane", "block-constant", "noise", "smoothed"]
+)
+def test_raw_features_equal_per_block_loop(exact_surfaces, name):
+    ref = exact_surfaces[name]
+    got, want = raw_features(ref), loop_raw_features(ref)
+    for channel in ("curvature", "area", "bumpiness"):
+        assert np.array_equal(getattr(got, channel), getattr(want, channel)), channel
+
+
+def test_block_constant_model_has_zero_spread_blocks(exact_surfaces):
+    field = raw_features(exact_surfaces["block-constant"])
+    assert (field.bumpiness == 0.0).sum() == field.bumpiness.size // 2
+    assert (field.bumpiness > 0.0).any()
+
+
+def test_block_features_equal_per_block_loop(exact_surfaces):
+    ref = exact_surfaces["noise"]
+    for u, v in [(0, 0), (5, 17), (31, 31), (31, 0)]:
+        assert block_features(ref, u, v) == loop_block_features(ref, u, v)
 
 
 def test_normalize_channel_pins():

@@ -413,6 +413,82 @@ def test_fine_grid_agreement(system):
 
 
 # ---------------------------------------------------------------------------
+# The rule-by-rule aggregation evaluate_many replaced, kept as an exact
+# reference: one (m, 1001) clipped set per rule, max-aggregated in rule order.
+
+def aggregate_by_rule(sys, c, b, a):
+    values = {
+        name: np.clip(np.asarray(x, float).ravel(), *sys.input(name).universe)
+        for name, x in zip(INPUT_NAMES, (c, b, a))
+    }
+    lo, hi = sys.output.universe
+    grid = lo + (hi - lo) * (np.arange(CENTROID_POINTS) / (CENTROID_POINTS - 1.0))
+    agg = np.zeros((values["curvature"].size, CENTROID_POINTS))
+    for rule in sys.rules:
+        s = None
+        for var, term in rule.antecedents:
+            mu = sys.input(var).term(term).membership(values[var])
+            s = mu if s is None else np.minimum(s, mu)
+        strength = rule.weight * np.asarray(s, dtype=float)
+        mf = sys.output.term(rule.consequent[1]).membership(grid)
+        np.maximum(agg, np.minimum(strength[:, None], mf[None, :]), out=agg)
+    return agg, grid
+
+
+unit_inputs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.25, 1.25))
+input_triples = st.lists(st.tuples(unit_inputs, unit_inputs, unit_inputs), min_size=1, max_size=40)
+rule_weights = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+clauses = st.tuples(st.sampled_from(INPUT_NAMES), st.sampled_from(("LOW", "MEDIUM", "HIGH")))
+random_rules = st.builds(
+    lambda ants, term, w: Rule(tuple(ants), ("weight", term), w),
+    st.lists(clauses, min_size=1, max_size=3),
+    st.sampled_from(OUTPUT_TERMS),
+    rule_weights,
+)
+# three rules whose antecedents cover the curvature universe: with positive
+# weights they make any base total
+covering_rules = st.tuples(
+    *(
+        st.builds(
+            lambda term, w, t=t: Rule((("curvature", t),), ("weight", term), w),
+            st.sampled_from(OUTPUT_TERMS),
+            st.floats(0.01, 1.0),
+        )
+        for t in ("LOW", "MEDIUM", "HIGH")
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    triples=input_triples,
+    rules=st.lists(random_rules, min_size=8, max_size=20),  # > 7 rules: some share a consequent
+    cover=st.one_of(st.none(), covering_rules),
+)
+def test_evaluate_many_equals_rule_by_rule_aggregation(variables, triples, rules, cover):
+    inputs, output = variables
+    sys = FuzzySystem(inputs, output, tuple(rules) + (cover or ()))
+    c, b, a = (np.array(x) for x in zip(*triples))
+    agg, grid = aggregate_by_rule(sys, c, b, a)
+    mass = agg.sum(axis=1)
+    if (mass == 0.0).any():
+        assert cover is None
+        with pytest.raises(EmptyAggregateError):
+            evaluate_many(sys, c, b, a)
+    else:
+        assert np.array_equal(evaluate_many(sys, c, b, a), (agg @ grid) / mass)
+
+
+def test_evaluate_many_equals_rule_by_rule_on_default_base(system):
+    rng = np.random.default_rng(46)
+    x = rng.uniform(-0.1, 1.1, size=(3, 4000))
+    edges = np.array([0.0, 0.5, 1.0])
+    x[:, :27] = [g.ravel() for g in np.meshgrid(edges, edges, edges, indexing="ij")]
+    agg, grid = aggregate_by_rule(system, *x)
+    assert np.array_equal(evaluate_many(system, *x), (agg @ grid) / agg.sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
 # Weight classes
 
 def test_weight_class_pins(system):

@@ -80,7 +80,7 @@ from .fuzzy import (
     trapezoidal,
     weight_class,
 )
-from .metrics import MetricReport, ber, corr2, psnr
+from .metrics import ber, corr2, psnr
 from .model_io import (
     MODEL_KINDS,
     GridModel,

@@ -1,16 +1,15 @@
 """Embedding and blind extraction.
 
-Pipeline (embed): scramble the watermark, decompose each embedding
-direction matrix into the 3-level detail tree, divide the 8 embedding
-subbands by the model's normalization scale, force each eligible slot's
-remainder mod q to a bit-dependent target, multiply back and reconstruct.
-Extraction recomputes the same reference surface, scale, and weight field
-from the watermarked model alone, majority-votes the thresholded
-remainders per payload bit, and unscrambles.
+Pipeline (embed): scramble the watermark, project each 8x8 block of each
+embedding direction matrix onto the 8 embedding atoms (its 8 level-3
+detail coefficients), divide by the model's normalization scale, force
+each eligible slot's remainder mod q to a bit-dependent target, multiply
+back and add the change back along the atoms; ineligible blocks stay
+bit-exact.  Extraction recomputes the same reference surface, scale, and
+weight field from the watermarked model alone, majority-votes the
+thresholded remainders per payload bit, and unscrambles.
 
-Slots are listed position-major: all slots of block position (u, v)
-(directions major, then the 8 subbands in canonical order) come before
-those of the next raster position.  Bit assignment shifts each
+Slots form a (direction, subband, u, v) array.  Bit assignment shifts each
 (direction, subband) plane by a fixed stride before reducing mod W^2, so
 every payload bit ends up with one slot in every plane, at spatially
 scattered positions.  Losing a region to cropping, an eligibility flip,
@@ -31,10 +30,10 @@ from .errors import (
     InsufficientCapacityError,
     MalformedFileError,
 )
-from .features import WeightField, compute_weights, reference_surface
+from .features import compute_weights, reference_surface
 from .fuzzy import default_rules_text, make_system, validate_watermark_system
 from .model_io import GridModel, WatermarkBitmap, validate_model
-from .wavelet import EMBED_BANDS, decompose3, reconstruct3
+from .wavelet import EMBED_ATOMS, add_atoms, embed_coefficients
 
 DIRECTION_ORDER = ("x1", "x2", "x3")
 
@@ -175,29 +174,16 @@ class SlotMap:
 
     def __post_init__(self):
         nb = self.n // 8
-        d = len(self.directions)
-        pos = np.arange(nb * nb).reshape(nb, nb)
+        pos = np.arange(nb * nb, dtype=np.int64).reshape(nb, nb)
+        plane = np.arange(len(self.directions) * len(EMBED_ATOMS)).reshape(-1, len(EMBED_ATOMS), 1, 1)
         # stride odd and ~5 rows + a few columns per plane step: consecutive
         # planes land far apart in both grid axes and in row parity
         stride = 5 * nb + 7
-        self.bit = np.empty((d, len(EMBED_BANDS), nb, nb), dtype=np.int64)
-        for di in range(d):
-            for bi in range(len(EMBED_BANDS)):
-                plane = di * len(EMBED_BANDS) + bi
-                self.bit[di, bi] = (pos + plane * stride) % (self.w**2)
+        self.bit = (pos + plane * stride) % (self.w**2)
 
     @property
     def total_slots(self) -> int:
         return int(self.bit.size)
-
-    def iter_slots(self):
-        """Slots in ordinal order: ((direction, subband index, u, v), bit)."""
-        nb = self.n // 8
-        for u in range(nb):
-            for v in range(nb):
-                for di, dname in enumerate(self.directions):
-                    for bi in range(len(EMBED_BANDS)):
-                        yield (dname, bi, u, v), int(self.bit[di, bi, u, v])
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +247,16 @@ def _pipeline_state(m: GridModel, cfg: EmbedConfig):
 def embed(m: GridModel, wm: WatermarkBitmap, cfg: EmbedConfig) -> GridModel:
     _, s, wf = _pipeline_state(m, cfg)
     needed = wm.w**2
-    available = wf.eligible_positions * len(EMBED_BANDS) * len(cfg.directions)
+    available = wf.eligible_positions * len(EMBED_ATOMS) * len(cfg.directions)
     if needed > available:
         raise InsufficientCapacityError(available, needed)
 
     sbits = scramble(wm.bits, cfg.key).ravel()
     smap = SlotMap(m.n, wm.w, cfg.directions)
-    out = {}
-    for di, name in enumerate(cfg.directions):
-        tree = decompose3(m.matrix(name))
-        for bi, path in enumerate(EMBED_BANDS):
-            c = tree.band(path)
-            cn = c / s
-            written = quantize_embed_bit(cn, sbits[smap.bit[di, bi]], cfg) * s
-            tree.set_band(path, np.where(wf.eligible, written, c))
-        out[name] = reconstruct3(tree)
+    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
+    written = quantize_embed_bit(c / s, sbits[smap.bit], cfg) * s
+    delta = np.where(wf.eligible, written - c, 0.0)
+    out = {name: add_atoms(m.matrix(name), delta[di]) for di, name in enumerate(cfg.directions)}
     return m.replace(**out)
 
 
@@ -288,15 +269,11 @@ def extract(m: GridModel, w: int, cfg: EmbedConfig) -> WatermarkBitmap:
     _, s, wf = _pipeline_state(m, cfg)
     smap = SlotMap(m.n, w, cfg.directions)
     nbits = w * w
-    ones = np.zeros(nbits, dtype=np.int64)
-    total = np.zeros(nbits, dtype=np.int64)
     el = wf.eligible
-    for di, name in enumerate(cfg.directions):
-        tree = decompose3(m.matrix(name))
-        for bi, path in enumerate(EMBED_BANDS):
-            reads = read_bit(tree.band(path) / s, cfg)
-            idx = smap.bit[di, bi][el]
-            ones += np.bincount(idx, weights=reads[el], minlength=nbits).astype(np.int64)
-            total += np.bincount(idx, minlength=nbits)
+    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
+    reads = read_bit(c / s, cfg)[:, :, el]
+    idx = smap.bit[:, :, el].ravel()
+    ones = np.bincount(idx, weights=reads.ravel(), minlength=nbits).astype(np.int64)
+    total = np.bincount(idx, minlength=nbits)
     bits = ((total > 0) & (2 * ones >= total)).astype(np.uint8)
     return WatermarkBitmap(unscramble(bits.reshape(w, w), cfg.key))

@@ -3,9 +3,9 @@
 Every level-3 detail coefficient at position (u, v) is supported by the
 8x8 spatial block rows 8u..8u+7, cols 8v..8v+7, so one feature triple per
 block position feeds all 8 embedding subbands that share it.  Features
-are computed on a reference surface whose embedding subbands are zeroed,
-which makes the weights identical before embedding, after embedding, and
-at blind extraction time.
+are computed on a reference surface with each block's projection onto the
+8 embedding atoms removed, which makes the weights identical before
+embedding, after embedding, and at blind extraction time.
 
 Features per block of the surface S(i,j) = (x1, x2, x3):
   curvature  mean Euclidean norm of the 5-point discrete Laplacian of S
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionError
 from .fuzzy import FuzzySystem, OUTPUT_TERMS, evaluate_many, weight_class_many
 from .model_io import GridModel, validate_model
-from .wavelet import EMBED_BANDS, decompose3, reconstruct3
+from .wavelet import add_atoms, embed_coefficients
 
 ELIGIBLE_TERMS = ("HIGH", "HIGHER")
 
@@ -52,15 +52,13 @@ def _direction_names(directions):
 
 
 def reference_surface(m: GridModel, directions) -> GridModel:
-    """The model with all 8 embedding subbands zeroed in each embedding
-    direction; non-embedding directions pass through unchanged."""
+    """Each embedding direction minus its projection onto the 8 embedding
+    atoms (its 8 embedding subbands zeroed); other directions unchanged."""
     validate_model(m)
     out = {}
     for name in _direction_names(directions):
-        tree = decompose3(m.matrix(name))
-        for path in EMBED_BANDS:
-            tree.set_band(path, np.zeros_like(tree.band(path)))
-        out[name] = reconstruct3(tree)
+        x = m.matrix(name)
+        out[name] = add_atoms(x, -embed_coefficients(x))
     return m.replace(**out)
 
 

@@ -461,10 +461,7 @@ def evaluate_many(sys: FuzzySystem, curvature, bumpiness, area) -> np.ndarray:
 def weight_class(sys: FuzzySystem, w) -> str:
     """Output term with maximum membership at w; ties go to the lower-indexed
     term (the order they are declared on the output variable)."""
-    w = sys.output.clamp(float(w))
-    names = sys.output.term_names()
-    memberships = [sys.output.term(t).membership(w) for t in names]
-    return names[int(np.argmax(memberships))]
+    return sys.output.term_names()[int(weight_class_many(sys, w))]
 
 
 def weight_class_many(sys: FuzzySystem, w) -> np.ndarray:

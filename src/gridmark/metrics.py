@@ -1,19 +1,11 @@
 """Similarity and quality metrics: corr2, PSNR, bit error rate."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DegenerateModelError, DimensionMismatchError
 from .model_io import GridModel
-
-
-@dataclass
-class MetricReport:
-    correlation: float
-    psnr_db: float
-    ber: float
 
 
 def corr2(a, b) -> float:

@@ -14,6 +14,10 @@ ch and cv bands of both level-2 decompositions.  Bands are addressed by
 path strings over {A, H, V, D} (ca, ch, cv, cd): "H.V.D" is the level-3 cd
 band of the level-2 cv band of the level-1 ch band.  The eight level-3
 ch/cv bands, in canonical order, are the embedding target of the codec.
+
+Each of those coefficients at (u, v) is the inner product of the 8x8 block
+at rows 8u.., cols 8v.. with one fixed atom (EMBED_ATOMS, entries +-1/8),
+which is all the codec uses; the tree is the definition the atoms come from.
 """
 
 from dataclasses import dataclass
@@ -132,14 +136,20 @@ class DetailTree:
             self.level3[parts[0] + "." + parts[1]].set(parts[2], values)
 
 
-def decompose3(m):
-    """Build the three-level detail tree of a square matrix (side % 8 == 0)."""
+def _check_blocked(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
     if n % 8 != 0 or n < 8:
         raise DimensionError(f"side must be a positive multiple of 8, got {n}")
+    return m
+
+
+def decompose3(m):
+    """Build the three-level detail tree of a square matrix (side % 8 == 0)."""
+    m = _check_blocked(m)
+    n = m.shape[0]
     level1 = dwt2(m)
     level2 = {"H": dwt2(level1.ch), "V": dwt2(level1.cv)}
     level3 = {}
@@ -186,11 +196,33 @@ def tree_energy(tree):
     return total
 
 
-def dump_tree(tree):
-    """Render every level-3 band as text blocks keyed by path, for debugging."""
-    lines = [f"TREE3 {tree.n}"]
-    for path in ALL_LEVEL3_BANDS:
-        lines.append(f"BAND {path}")
-        for row in tree.band(path):
-            lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _impulse_responses():
+    # block (u, v) of this 64x64 matrix is the unit impulse at (u, v) of an
+    # 8x8 block, so entry (u, v) of each embedding band is its response to it
+    tree = decompose3(np.outer(np.eye(8).ravel(), np.eye(8).ravel()))
+    return np.array([tree.band(p).ravel() for p in EMBED_BANDS])
+
+
+#: (8, 64): row k is the atom of EMBED_BANDS[k] over a row-major 8x8 block;
+#: orthonormal, entries +-1/8.
+EMBED_ATOMS = _impulse_responses()
+
+
+def embed_coefficients(m):
+    """The 8 embedding bands of decompose3(m), as one (8, nb, nb) array."""
+    m = _check_blocked(m)
+    nb = m.shape[0] // 8
+    blocks = m.reshape(nb, 8, nb, 8).swapaxes(1, 2).reshape(nb * nb, 64)
+    return (blocks @ EMBED_ATOMS.T).T.reshape(8, nb, nb)
+
+
+def add_atoms(m, delta):
+    """m + sum_k delta[k, u, v] * atom_k on block (u, v): the matrix whose
+    embedding bands moved by the (8, nb, nb) delta.  Blocks whose delta is
+    all zero come back bit-exact."""
+    m = _check_blocked(m)
+    nb = m.shape[0] // 8
+    if np.shape(delta) != (8, nb, nb):
+        raise DimensionError(f"delta must have shape {(8, nb, nb)}, got {np.shape(delta)}")
+    step = np.reshape(delta, (8, nb * nb)).T @ EMBED_ATOMS
+    return m + step.reshape(nb, nb, 8, 8).swapaxes(1, 2).reshape(m.shape)

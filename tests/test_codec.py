@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmark import EmbedConfig, embed, extract, generate_model
+from gridmark.arnold import scramble, unscramble
 from gridmark.codec import (
     SlotMap,
     config_hash,
@@ -25,7 +26,7 @@ from gridmark.fuzzy import default_rules_text
 from gridmark.metrics import ber, corr2
 from gridmark.model_io import GridModel, MODEL_KINDS, WatermarkBitmap
 from gridmark.wavelet import ALL_LEVEL3_BANDS, EMBED_BANDS, decompose3, reconstruct3
-from gridmark.attacks import scale, translate
+from gridmark.attacks import apply, parse_attack, scale, translate
 
 CFG01 = EmbedConfig(q=0.01)
 
@@ -124,18 +125,32 @@ def test_slot_map_planes_are_offset():
     assert not np.array_equal(smap.bit[0, 0], smap.bit[1, 0])
 
 
-def test_iter_slots_matches_bit_array():
-    smap = SlotMap(64, 8, ("x1", "x2"))
-    slots = list(smap.iter_slots())
-    assert len(slots) == smap.total_slots
-    (dname, bi, u, v), bit = slots[0]
-    assert (dname, bi, u, v) == ("x1", 0, 0, 0)
-    assert bit == smap.bit[0, 0, 0, 0]
-    # position-major: the first 16 slots all sit at block (0, 0)
-    assert all(s[0][2:] == (0, 0) for s in slots[:16])
-    for (dname, bi, u, v), bit in slots[:100]:
-        di = smap.directions.index(dname)
-        assert bit == smap.bit[di, bi, u, v]
+def _slot_map_loop(n, w, directions):
+    nb = n // 8
+    pos = np.arange(nb * nb).reshape(nb, nb)
+    stride = 5 * nb + 7
+    bit = np.empty((len(directions), 8, nb, nb), dtype=np.int64)
+    for di in range(len(directions)):
+        for bi in range(8):
+            bit[di, bi] = (pos + (di * 8 + bi) * stride) % (w**2)
+    return bit
+
+
+@pytest.mark.parametrize(
+    "n, w, directions",
+    [
+        (256, 32, ("x1",)),
+        (256, 32, ("x1", "x2")),
+        (512, 64, ("x1",)),
+        (512, 64, ("x1", "x2")),
+        (512, 64, ("x1", "x2", "x3")),
+        (64, 16, ("x2",)),
+    ],
+)
+def test_slot_map_equals_plane_loop(n, w, directions):
+    bit = SlotMap(n, w, directions).bit
+    assert bit.dtype == np.int64
+    assert np.array_equal(bit, _slot_map_loop(n, w, directions))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +195,63 @@ def test_embed_touches_only_embedding_bands(small_model, small_marked):
 def test_embed_changes_only_eligible_blocks(small_model, small_marked, default_cfg):
     wf = compute_weights(reference_surface(small_model, default_cfg), default_cfg.system())
     mask = np.kron(wf.eligible, np.ones((8, 8), dtype=bool))
-    base = reconstruct3(decompose3(small_model.x1))
-    assert np.array_equal(small_marked.x1[~mask], base[~mask])
-    assert np.abs(small_marked.x1[mask] - base[mask]).max() > 1e-3
+    assert np.array_equal(small_marked.x1[~mask], small_model.x1[~mask])
+    assert np.abs(small_marked.x1[mask] - small_model.x1[mask]).max() > 1e-3
+
+
+# The codec as a walk over the three-level tree, one band at a time: the
+# definition the block-atom codec must reproduce.
+
+def _tree_state(m, cfg):
+    ref = reference_surface(m, cfg)
+    return normalization_scale(m, cfg), compute_weights(ref, cfg.system())
+
+
+def _tree_embed(m, wm, cfg):
+    s, wf = _tree_state(m, cfg)
+    sbits = scramble(wm.bits, cfg.key).ravel()
+    smap = SlotMap(m.n, wm.w, cfg.directions)
+    out = {}
+    for di, name in enumerate(cfg.directions):
+        tree = decompose3(m.matrix(name))
+        for bi, path in enumerate(EMBED_BANDS):
+            c = tree.band(path)
+            written = quantize_embed_bit(c / s, sbits[smap.bit[di, bi]], cfg) * s
+            tree.set_band(path, np.where(wf.eligible, written, c))
+        out[name] = reconstruct3(tree)
+    return m.replace(**out)
+
+
+def _tree_extract(m, w, cfg):
+    s, wf = _tree_state(m, cfg)
+    smap = SlotMap(m.n, w, cfg.directions)
+    ones = np.zeros(w * w, dtype=np.int64)
+    total = np.zeros(w * w, dtype=np.int64)
+    el = wf.eligible
+    for di, name in enumerate(cfg.directions):
+        tree = decompose3(m.matrix(name))
+        for bi, path in enumerate(EMBED_BANDS):
+            reads = read_bit(tree.band(path) / s, cfg)
+            idx = smap.bit[di, bi][el]
+            ones += np.bincount(idx, weights=reads[el], minlength=w * w).astype(np.int64)
+            total += np.bincount(idx, minlength=w * w)
+    bits = ((total > 0) & (2 * ones >= total)).astype(np.uint8)
+    return WatermarkBitmap(unscramble(bits.reshape(w, w), cfg.key))
+
+
+@pytest.mark.parametrize("kind", ["bumps", "harmonic", "meshgrid"])
+def test_embed_extract_match_tree_walk(kind, desk_models, desk_marked, wm32, default_cfg):
+    m, marked = desk_models[kind], desk_marked[kind]
+    want = _tree_embed(m, wm32, default_cfg)
+    for name in ("x1", "x2", "x3"):
+        ref = want.matrix(name)
+        assert np.abs(marked.matrix(name) - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.array_equal(extract(marked, 32, default_cfg).bits, _tree_extract(want, 32, default_cfg).bits)
+    # a damaged model, where the vote is not unanimous
+    noisy, _ = apply(marked, parse_attack("randomnoise:a=0.1,seed=103"))
+    got = extract(noisy, 32, default_cfg)
+    assert ber(wm32, got) > 0.0
+    assert np.array_equal(got.bits, _tree_extract(noisy, 32, default_cfg).bits)
 
 
 def test_embed_insufficient_capacity_on_plane(wm16, default_cfg):

@@ -7,12 +7,13 @@ from hypothesis.extra.numpy import arrays
 from gridmark.errors import DimensionError, NotSquareError
 from gridmark.wavelet import (
     ALL_LEVEL3_BANDS,
+    EMBED_ATOMS,
     EMBED_BANDS,
-    LEVEL3_KEYS,
     QuadBands,
+    add_atoms,
     decompose3,
-    dump_tree,
     dwt2,
+    embed_coefficients,
     idwt2,
     reconstruct3,
     tree_energy,
@@ -169,12 +170,64 @@ def test_set_band_rejects_wrong_shape():
         tree.set_band("H.H.H", np.zeros((3, 3)))
 
 
-def test_dump_tree_format():
-    text = dump_tree(decompose3(np.zeros((16, 16))))
-    lines = text.splitlines()
-    assert lines[0] == "TREE3 16"
-    for key in LEVEL3_KEYS:
-        assert f"BAND {key}.A" in text
+def test_embed_atoms_orthonormal_with_entries_one_eighth():
+    assert EMBED_ATOMS.shape == (8, 64)
+    assert np.array_equal(np.abs(EMBED_ATOMS), np.full((8, 64), 0.125))
+    assert np.array_equal(EMBED_ATOMS @ EMBED_ATOMS.T, np.eye(8))
+    # row k, entry 8i+j: band k of the unit impulse at (i, j) of one block
+    for e in range(64):
+        impulse = np.zeros(64)
+        impulse[e] = 1.0
+        tree = decompose3(impulse.reshape(8, 8))
+        assert [tree.band(p)[0, 0] for p in EMBED_BANDS] == list(EMBED_ATOMS[:, e])
+
+
+def _tree_bands(m):
+    tree = decompose3(m)
+    return np.stack([tree.band(p) for p in EMBED_BANDS])
+
+
+@pytest.mark.parametrize("side", [8, 16, 64, 256])
+def test_embed_coefficients_match_tree_bands(side):
+    for _ in range(5):
+        m = RNG.uniform(-1e3, 1e3, size=(side, side))
+        want = _tree_bands(m)
+        got = embed_coefficients(m)
+        assert got.shape == (8, side // 8, side // 8)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(m).max()
+
+
+@pytest.mark.parametrize("side", [8, 16, 64, 256])
+def test_add_atoms_matches_tree_reconstruction(side):
+    for _ in range(5):
+        m = RNG.uniform(-1e3, 1e3, size=(side, side))
+        delta = RNG.uniform(-10, 10, size=(8, side // 8, side // 8))
+        tree = decompose3(m)
+        for k, path in enumerate(EMBED_BANDS):
+            tree.set_band(path, tree.band(path) + delta[k])
+        want = reconstruct3(tree)
+        assert np.abs(add_atoms(m, delta) - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_add_atoms_leaves_zero_delta_blocks_exact():
+    m = RNG.uniform(-1e3, 1e3, size=(32, 32))
+    delta = np.zeros((8, 4, 4))
+    delta[:, 1, 2] = RNG.uniform(-1, 1, size=8)
+    out = add_atoms(m, delta)
+    block = (slice(8, 16), slice(16, 24))
+    mask = np.zeros(m.shape, dtype=bool)
+    mask[block] = True
+    assert np.array_equal(out[~mask], m[~mask])
+    assert np.abs(embed_coefficients(out) - embed_coefficients(m) - delta).max() <= 1e-12
+
+
+def test_atom_helpers_reject_bad_shapes():
+    with pytest.raises(DimensionError):
+        embed_coefficients(np.zeros((12, 12)))
+    with pytest.raises(NotSquareError):
+        embed_coefficients(np.zeros((8, 16)))
+    with pytest.raises(DimensionError):
+        add_atoms(np.zeros((16, 16)), np.zeros((8, 1, 1)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -61,7 +61,6 @@ from .features import (
     WeightField,
     block_features,
     compute_weights,
-    dump_weight_field,
     normalize_features,
     raw_features,
     reference_surface,

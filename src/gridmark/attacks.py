@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import BadParameterError, MalformedFileError
-from .model_io import GridModel
+from .model_io import GridModel, read_text
 
 _AXES = ("x1", "x2", "x3")
 
@@ -53,13 +53,12 @@ def save_registration(reg: Registration, path):
     for row in reg.rotation:
         lines.append(" ".join(repr(float(v)) for v in row))
     lines.append(" ".join(repr(float(v)) for v in reg.translation))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_registration(path) -> Registration:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if len(lines) != 5 or lines[0].strip() != "REG3":
         raise MalformedFileError("registration file must be 'REG3' plus 4 rows")
     try:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .features import compute_weights, reference_surface
 from .fuzzy import default_rules_text, make_system, validate_watermark_system
-from .model_io import GridModel, WatermarkBitmap, validate_model
+from .model_io import GridModel, WatermarkBitmap, read_text, validate_model
 from .wavelet import EMBED_ATOMS, add_atoms, embed_coefficients
 
 DIRECTION_ORDER = ("x1", "x2", "x3")
@@ -82,7 +82,7 @@ class EmbedConfig:
     def rules_text(self) -> str:
         if self.rules is None:
             return default_rules_text()
-        return Path(self.rules).read_text()
+        return read_text(self.rules, "utf-8")
 
     def system(self):
         if self._system is None:
@@ -98,7 +98,7 @@ def serialize_config(cfg: EmbedConfig) -> str:
 
 
 def save_config(cfg: EmbedConfig, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
 
 
@@ -106,18 +106,17 @@ def load_config(path) -> EmbedConfig:
     """Parse a flat key=value config file.  A relative rules path is
     resolved against the config file's directory."""
     fields = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise MalformedFileError(f"line {lineno}: expected key=value, got {body!r}")
-            k, v = body.split("=", 1)
-            k, v = k.strip(), v.strip()
-            if k in fields:
-                raise MalformedFileError(f"line {lineno}: duplicate key {k!r}")
-            fields[k] = v
+    for lineno, line in enumerate(read_text(path, "utf-8").split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise MalformedFileError(f"line {lineno}: expected key=value, got {body!r}")
+        k, v = body.split("=", 1)
+        k, v = k.strip(), v.strip()
+        if k in fields:
+            raise MalformedFileError(f"line {lineno}: duplicate key {k!r}")
+        fields[k] = v
     kwargs = {}
     for k, v in fields.items():
         if k == "key":

@@ -187,19 +187,3 @@ def compute_weights(ref: GridModel, sys: FuzzySystem) -> WeightField:
     cls = weight_class_many(sys, w)
     eligible = np.isin(cls, _ELIGIBLE_INDICES)
     return WeightField(norm, w, eligible)
-
-
-def dump_weight_field(wf: WeightField, path):
-    """Debug CSV: one row per (subband, u, v) slot position."""
-    lines = ["subband,u,v,curvature,area,bumpiness,weight,eligible"]
-    f = wf.features
-    for b in range(8):
-        for u in range(wf.nb):
-            for v in range(wf.nb):
-                lines.append(
-                    f"{b},{u},{v},{float(f.curvature[u, v])!r},{float(f.area[u, v])!r},"
-                    f"{float(f.bumpiness[u, v])!r},{float(wf.weight[u, v])!r},"
-                    f"{int(wf.eligible[u, v])}"
-                )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

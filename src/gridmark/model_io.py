@@ -6,9 +6,9 @@ every codec-facing operation so the three-level detail tree lines up with
 8 x 8 spatial blocks.
 
 Formats:
-  GRID3  text model format; values are printed with repr so that
+  GRID3  ASCII model format; values are printed with repr so that
          save -> load -> save is byte-identical.
-  PBM P1 canonical watermark bitmap format (also written).
+  PBM P1 canonical watermark bitmap format (also written), ASCII.
   PGM P2 accepted on input only; gray >= 128 maps to bit 1.
   OBJ    export-only triangulation for external viewers.
 """
@@ -99,27 +99,31 @@ class WatermarkBitmap:
         return self.bits.shape[0]
 
 
+def read_text(path, encoding="ascii"):
+    """Read a whole text file; bytes that do not decode are a MalformedFileError."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise MalformedFileError(f"{path}: byte {e.start} is not {encoding}") from None
+
+
 # ---------------------------------------------------------------------------
 # GRID3
-
-def _fmt(v):
-    return repr(float(v))
-
 
 def save_model(m: GridModel, path):
     validate_model(m)
     lines = [f"GRID3 {m.n}"]
     for name in _AXES:
         lines.append(f"MATRIX {name}")
-        for row in m.matrix(name):
-            lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
+        # tolist() yields Python floats, whose repr is the shortest round trip.
+        lines.extend(" ".join(map(repr, row)) for row in m.matrix(name).tolist())
+    with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> GridModel:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     pos = 0
 
     def next_line():
@@ -147,18 +151,14 @@ def load_model(path) -> GridModel:
         tag = next_line().split()
         if tag != ["MATRIX", name]:
             raise MalformedFileError(f"expected 'MATRIX {name}', got {' '.join(tag)!r}")
-        rows = []
-        for _ in range(n):
-            toks = next_line().split()
-            if len(toks) != n:
-                raise MalformedFileError(
-                    f"matrix {name}: expected {n} values per row, got {len(toks)}"
-                )
-            try:
-                rows.append([float(t) for t in toks])
-            except ValueError as e:
-                raise MalformedFileError(f"matrix {name}: {e}") from None
-        mat = np.array(rows, dtype=float)
+        rows = [next_line() for _ in range(n)]
+        # comments=None: a '#' is a bad token, not the start of a comment.
+        try:
+            mat = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
+        except ValueError as e:
+            raise MalformedFileError(f"matrix {name}: {e}") from None
+        if mat.shape != (n, n):
+            raise MalformedFileError(f"matrix {name}: expected {n} values per row, got {mat.shape[1]}")
         if not np.isfinite(mat).all():
             raise NonFiniteValueError(f"matrix {name} contains non-finite values")
         mats[name] = mat
@@ -178,7 +178,7 @@ def save_watermark(wm: WatermarkBitmap, path):
     lines = ["P1", f"{wm.w} {wm.w}"]
     for row in wm.bits:
         lines.append(" ".join(str(int(v)) for v in row))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -190,9 +190,7 @@ def _pnm_tokens(text):
 
 def load_watermark(path) -> WatermarkBitmap:
     """Read PBM P1, or PGM P2 thresholded at gray >= 128."""
-    with open(path) as fh:
-        text = fh.read()
-    toks = list(_pnm_tokens(text))
+    toks = list(_pnm_tokens(read_text(path)))
     if not toks:
         raise MalformedFileError("empty image file")
     magic = toks[0]
@@ -237,10 +235,10 @@ def export_obj(m: GridModel, path):
     """Triangulate the grid (each cell split along its main diagonal) and
     write a 1-based OBJ mesh: N^2 vertices, 2(N-1)^2 faces."""
     n = m.n
-    lines = []
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"v {_fmt(m.x1[i, j])} {_fmt(m.x2[i, j])} {_fmt(m.x3[i, j])}")
+    lines = [
+        f"v {a!r} {b!r} {c!r}"
+        for a, b, c in zip(m.x1.ravel().tolist(), m.x2.ravel().tolist(), m.x3.ravel().tolist())
+    ]
     for i in range(n - 1):
         for j in range(n - 1):
             p00 = i * n + j + 1

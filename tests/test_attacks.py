@@ -140,6 +140,13 @@ def test_registration_malformed(tmp_path, text):
         load_registration(path)
 
 
+def test_registration_rejects_non_ascii_bytes(tmp_path):
+    path = tmp_path / "bad.reg"
+    path.write_bytes(b"REG3\n1 0 0\n0 1 0\n0 0 1\n0 0 \xff0\n")
+    with pytest.raises(MalformedFileError):
+        load_registration(path)
+
+
 # ---------------------------------------------------------------------------
 # Noise
 

@@ -221,6 +221,20 @@ def test_attack_translate_sidecar_content(workdir, tmp_path, capsys):
     assert np.array_equal(reg.translation, [-12.5, 7.25, -40.0])
 
 
+def test_attack_non_ascii_model_exit_code(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.grid3"
+    bad.write_bytes((workdir / "marked.grid3").read_bytes().replace(b"MATRIX x2", b"MATRIX x\xb2"))
+    code, _, err = run(
+        capsys, "attack",
+        "--model", str(bad),
+        "--spec", "scale:k=2",
+        "--out", str(tmp_path / "x.grid3"),
+    )
+    assert code == 2
+    assert "MalformedFileError" in err
+    assert not (tmp_path / "x.grid3").exists()
+
+
 def test_attack_bad_parameters_exit_code(workdir, tmp_path, capsys):
     code, _, err = run(
         capsys, "attack",

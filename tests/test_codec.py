@@ -368,6 +368,24 @@ def test_config_file_errors(tmp_path, text):
         load_config(path)
 
 
+def test_config_file_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"key=3\n# caf\xe9\n")
+    with pytest.raises(MalformedFileError):
+        load_config(path)
+
+
+def test_config_non_ascii_rules_path_and_non_utf8_rules(tmp_path):
+    (tmp_path / "r\u00e8gles.frs").write_text(default_rules_text(), encoding="utf-8")
+    (tmp_path / "embed.cfg").write_text("rules=r\u00e8gles.frs\n", encoding="utf-8")
+    cfg = load_config(tmp_path / "embed.cfg")
+    assert cfg.rules == str(tmp_path / "r\u00e8gles.frs")
+    assert cfg.rules_text() == default_rules_text()
+    (tmp_path / "r\u00e8gles.frs").write_bytes(b"# \xff\n" + default_rules_text().encode())
+    with pytest.raises(MalformedFileError):
+        load_config(tmp_path / "embed.cfg").system()
+
+
 def test_config_relative_rules_path(tmp_path):
     (tmp_path / "custom.frs").write_text(default_rules_text())
     (tmp_path / "embed.cfg").write_text("rules=custom.frs\n")

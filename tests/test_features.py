@@ -10,7 +10,6 @@ from gridmark.features import (
     FeatureField,
     block_features,
     compute_weights,
-    dump_weight_field,
     normalize_features,
     raw_features,
     reference_surface,
@@ -320,16 +319,3 @@ def test_plane_has_no_eligible_blocks(system):
     assert wf.eligible_positions == 0
     # all features identical, so all weights identical
     assert np.unique(wf.weight).size == 1
-
-
-def test_dump_weight_field(tmp_path, small_model, system):
-    wf = compute_weights(reference_surface(small_model, DIRS), system)
-    path = tmp_path / "weights.csv"
-    dump_weight_field(wf, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "subband,u,v,curvature,area,bumpiness,weight,eligible"
-    assert len(lines) == 1 + 8 * wf.nb * wf.nb
-    first = lines[1].split(",")
-    assert first[:3] == ["0", "0", "0"]
-    assert float(first[6]) == wf.weight[0, 0]
-    assert first[7] in ("0", "1")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridmark.errors import (
     BadParameterError,
@@ -26,6 +29,44 @@ RNG = np.random.default_rng(7)
 
 def random_model(n, scale=1.0):
     return GridModel(*(RNG.uniform(-scale, scale, size=(n, n)) for _ in range(3)))
+
+
+# The per-element GRID3 writer and parser that save_model/load_model
+# replaced, kept as exact references for the bytes written and the bits read.
+
+def reference_grid3_text(m):
+    lines = [f"GRID3 {m.n}"]
+    for name in ("x1", "x2", "x3"):
+        lines.append(f"MATRIX {name}")
+        for row in m.matrix(name):
+            lines.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_grid3_parse(text):
+    """The three matrices of a well-formed GRID3 text, one float() per token."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    n = int(lines[0].split()[1])
+    blocks = (lines[2 + k * (n + 1):1 + (k + 1) * (n + 1)] for k in range(3))
+    return [np.array([[float(t) for t in row.split()] for row in b]) for b in blocks]
+
+
+def on_row(edit, row=2):
+    """Mangle that applies edit to one data line of a GRID3 text."""
+    def mangle(text):
+        lines = text.split("\n")
+        lines[row] = edit(lines[row])
+        return "\n".join(lines)
+    return mangle
+
+
+def with_token(token, row=2):
+    """Mangle that puts token in place of the first value of one data line."""
+    return on_row(lambda r: " ".join([token] + r.split(" ")[1:]), row)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
 def test_grid_model_validation():
@@ -92,6 +133,54 @@ def test_grid3_blank_lines_ok(tmp_path):
     padded.write_text("\n" + path.read_text().replace("MATRIX x2", "\nMATRIX x2\n") + "\n\n")
     back = load_model(padded)
     assert np.array_equal(back.x2, m.x2)
+    # tab separators and blank lines between the rows of a matrix
+    spaced = tmp_path / "spaced.grid3"
+    spaced.write_text(path.read_text().replace(" ", "\t").replace("\n", "\n \t\n"))
+    back = load_model(spaced)
+    for name in ("x1", "x2", "x3"):
+        assert np.array_equal(bits(back.matrix(name)), bits(m.matrix(name)))
+
+
+EDGE_VALUES = (
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,  # largest subnormal
+    2.2250738585072014e-308,  # smallest normal
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e16,
+    1e-05,
+    0.1,
+)
+GRID3_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+@pytest.fixture(scope="module")
+def grid3_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grid3")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((8, 16)).flatmap(
+        lambda n: arrays(np.float64, (3, n, n), elements=GRID3_VALUES, fill=st.nothing())
+    )
+)
+def test_grid3_matches_reference_writer_and_parser(grid3_dir, mats):
+    m = GridModel(*mats)
+    path = grid3_dir / "m.grid3"
+    save_model(m, path)
+    text = reference_grid3_text(m)
+    assert path.read_bytes() == text.encode("ascii")
+    back = load_model(path)
+    for got, want, orig in zip((back.x1, back.x2, back.x3), reference_grid3_parse(text), mats):
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(got), bits(orig))
 
 
 def test_save_model_rejects_bad_side(tmp_path):
@@ -111,13 +200,27 @@ def test_save_model_rejects_bad_side(tmp_path):
         (lambda t: t.replace("MATRIX x3\n", ""), MalformedFileError),
         (lambda t: t + "stray\n", MalformedFileError),
         (lambda t: t.replace("0.", "zero.", 1), MalformedFileError),
+        # a '#' is a bad token: nothing after it is skipped as a comment
+        pytest.param(on_row(lambda r: r + " # note"), MalformedFileError, id="hash-after-row"),
+        pytest.param(on_row(lambda r: r.replace(" ", " #", 1)), MalformedFileError, id="hash-token"),
+        pytest.param(on_row(lambda r: r.replace(" ", ",")), MalformedFileError, id="comma-separator"),
+        # float() takes these; the GRID3 parser does not
+        pytest.param(with_token("1_0"), MalformedFileError, id="underscore-digits"),
+        pytest.param(with_token("\u0661\u0662"), MalformedFileError, id="arabic-indic-digits"),
+        pytest.param(on_row(lambda r: r + "\n" + r, row=9), MalformedFileError, id="ninth-row"),
+        pytest.param(on_row(lambda r: r + " 1.0"), MalformedFileError, id="extra-token"),
+        pytest.param(on_row(lambda r: r + " 1.0", row=5), MalformedFileError, id="extra-token-mid"),
+        # every row of x1 one token long: no ragged row, so only the shape check sees it
+        pytest.param(lambda t: "\n".join(l + " 1.0" if 2 <= i <= 9 else l
+                                         for i, l in enumerate(t.split("\n"))),
+                     MalformedFileError, id="extra-column"),
     ],
 )
 def test_grid3_malformed(tmp_path, mangle, err):
     path = tmp_path / "m.grid3"
     save_model(random_model(8), path)
     bad = tmp_path / "bad.grid3"
-    bad.write_text(mangle(path.read_text()))
+    bad.write_bytes(mangle(path.read_text()).encode("utf-8"))
     with pytest.raises(err):
         load_model(bad)
 
@@ -144,6 +247,31 @@ def test_grid3_rejects_written_nan(tmp_path):
     bad.write_text("\n".join(text) + "\n")
     with pytest.raises(NonFiniteValueError):
         load_model(bad)
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "1e500", "-1e500"])
+def test_grid3_rejects_nonfinite_tokens(tmp_path, token):
+    path = tmp_path / "m.grid3"
+    save_model(random_model(8), path)
+    bad = tmp_path / "bad.grid3"
+    bad.write_text(with_token(token, row=20)(path.read_text()))
+    with pytest.raises(NonFiniteValueError):
+        load_model(bad)
+
+
+@pytest.mark.parametrize(
+    "loader,data",
+    [
+        (load_model, b"GRID3 8\nMATRIX x1\n0.0\xff 1.0\n"),
+        (load_watermark, b"P1\n2 2\n1 0\n0 1 \xe9\n"),
+        (load_watermark, b"P1\n# caf\xc3\xa9\n2 2\n1 0\n0 1\n"),
+    ],
+)
+def test_loaders_reject_non_ascii_bytes(tmp_path, loader, data):
+    path = tmp_path / "bad.file"
+    path.write_bytes(data)
+    with pytest.raises(MalformedFileError):
+        loader(path)
 
 
 def test_watermark_bitmap_validation():
@@ -211,6 +339,29 @@ def test_export_obj_counts(tmp_path):
     assert len(v) == 64 and len(f) == 2 * 49
     idx = np.array([[int(t) for t in l.split()[1:]] for l in f])
     assert idx.min() == 1 and idx.max() == 64
+
+
+def reference_obj_text(m):
+    """The per-element OBJ writer that export_obj replaced."""
+    n = m.n
+    lines = []
+    for i in range(n):
+        for j in range(n):
+            vals = (repr(float(m.x1[i, j])), repr(float(m.x2[i, j])), repr(float(m.x3[i, j])))
+            lines.append("v " + " ".join(vals))
+    for i in range(n - 1):
+        for j in range(n - 1):
+            p00 = i * n + j + 1
+            lines.append(f"f {p00} {p00 + n} {p00 + n + 1}")
+            lines.append(f"f {p00} {p00 + n + 1} {p00 + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_obj_matches_reference_writer(tmp_path):
+    m = generate_model("bumps", 16, seed=4)
+    path = tmp_path / "m.obj"
+    export_obj(m, path)
+    assert path.read_bytes() == reference_obj_text(m).encode("ascii")
 
 
 def test_export_obj_plane_normals(tmp_path):

@@ -17,7 +17,6 @@ from .attacks import (
     crop,
     format_attack,
     kernel_gaussian,
-    kernel_laplacian,
     kernel_log,
     parse_attack,
     random_noise,

@@ -16,6 +16,7 @@ Textual encoding, used by the CLI::
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,17 +74,10 @@ def load_registration(path) -> Registration:
 # ---------------------------------------------------------------------------
 # Attack spec
 
-_PARAM_ORDER = {
-    "rotate": ("axis", "angle"),
-    "translate": ("dx", "dy", "dz"),
-    "scale": ("k",),
-    "randomnoise": ("a", "seed"),
-    "saltpepper": ("d", "seed"),
-    "gaussian": ("hsize", "sigma"),
-    "laplacian": ("alpha",),
-    "log": ("hsize", "sigma"),
-    "crop": ("p",),
-}
+# Parameters that must be Python or numpy integers; parse_attack reads
+# them with int(), and every other one but rotate's axis with float(), which
+# AttackSpec requires to be finite.
+_INT_PARAMS = ("hsize", "seed")
 
 _AXIS_VECTORS = {
     "x": (1.0, 0.0, 0.0),
@@ -98,19 +92,25 @@ class AttackSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in _PARAM_ORDER:
+        if self.name not in _ATTACKS:
             raise BadParameterError(f"unknown attack {self.name!r}")
-        allowed = set(_PARAM_ORDER[self.name])
-        unknown = set(self.params) - allowed
+        unknown = set(self.params) - set(_param_order(self.name))
         if unknown:
             raise BadParameterError(f"{self.name}: unknown parameters {sorted(unknown)}")
+        for k, v in self.params.items():
+            if k in _INT_PARAMS:
+                if not isinstance(v, (int, np.integer)) or (k == "seed" and v < 0):
+                    what = "a non-negative integer" if k == "seed" else "an integer"
+                    raise BadParameterError(f"{self.name}: {k} must be {what}, got {v!r}")
+            elif k != "axis" and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise BadParameterError(f"{self.name}: {k} must be a finite number, got {v!r}")
 
 
 def parse_attack(text: str) -> AttackSpec:
     """Parse the textual attack encoding, e.g. 'gaussian:hsize=3,sigma=10'."""
     name, _, rest = text.strip().partition(":")
     name = name.strip().lower()
-    if name not in _PARAM_ORDER:
+    if name not in _ATTACKS:
         raise BadParameterError(f"unknown attack {name!r}")
     params = {}
     if rest.strip():
@@ -125,7 +125,7 @@ def parse_attack(text: str) -> AttackSpec:
                 if v.lower() not in _AXIS_VECTORS:
                     raise BadParameterError(f"rotate: axis must be x, y or z, got {v!r}")
                 params[k] = v.lower()
-            elif k in ("seed", "hsize"):
+            elif k in _INT_PARAMS:
                 try:
                     params[k] = int(v)
                 except ValueError:
@@ -140,7 +140,7 @@ def parse_attack(text: str) -> AttackSpec:
 
 def format_attack(spec: AttackSpec) -> str:
     parts = []
-    for k in _PARAM_ORDER[spec.name]:
+    for k in _param_order(spec.name):
         if k in spec.params:
             v = spec.params[k]
             parts.append(f"{k}={v}" if isinstance(v, (int, str)) else f"{k}={v!r}")
@@ -240,19 +240,6 @@ def kernel_gaussian(hsize: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def kernel_laplacian(alpha: float) -> np.ndarray:
-    if not 0.0 <= alpha <= 1.0:
-        raise BadParameterError(f"alpha must be in [0,1], got {alpha}")
-    a = alpha
-    return (4.0 / (a + 1.0)) * np.array(
-        [
-            [a / 4, (1 - a) / 4, a / 4],
-            [(1 - a) / 4, -1.0, (1 - a) / 4],
-            [a / 4, (1 - a) / 4, a / 4],
-        ]
-    )
-
-
 def kernel_log(hsize: int, sigma: float) -> np.ndarray:
     _check_hsize(hsize)
     if not sigma > 0:
@@ -309,41 +296,32 @@ def crop(m: GridModel, p: float) -> GridModel:
 # ---------------------------------------------------------------------------
 # Dispatch
 
-def _require(spec: AttackSpec, *names):
-    missing = [k for k in names if k not in spec.params]
-    if missing:
-        raise BadParameterError(f"{spec.name}: missing parameters {missing}")
-    return [spec.params[k] for k in names]
+# name -> (function, required parameters, optional parameters).  Parameter
+# names are the function's keyword names, listed in textual order; an
+# optional one takes the function's default.
+_ATTACKS = {
+    "rotate": (rotate, ("axis", "angle"), ()),
+    "translate": (translate, ("dx", "dy", "dz"), ()),
+    "scale": (scale, ("k",), ()),
+    "randomnoise": (random_noise, ("a",), ("seed",)),
+    "saltpepper": (salt_pepper, ("d",), ("seed",)),
+    "gaussian": (smooth_gaussian, ("hsize", "sigma"), ()),
+    "laplacian": (smooth_laplacian, ("alpha",), ()),
+    "log": (smooth_log, ("hsize", "sigma"), ()),
+    "crop": (crop, ("p",), ()),
+}
+
+
+def _param_order(name):
+    _, required, optional = _ATTACKS[name]
+    return required + optional
 
 
 def apply(m: GridModel, spec: AttackSpec):
     """Apply an attack; returns (attacked model, registration or None)."""
-    p = spec.params
-    if spec.name == "rotate":
-        axis, angle = _require(spec, "axis", "angle")
-        return rotate(m, axis, angle)
-    if spec.name == "translate":
-        dx, dy, dz = _require(spec, "dx", "dy", "dz")
-        return translate(m, dx, dy, dz)
-    if spec.name == "scale":
-        (k,) = _require(spec, "k")
-        return scale(m, k), None
-    if spec.name == "randomnoise":
-        (a,) = _require(spec, "a")
-        return random_noise(m, a, int(p.get("seed", 0))), None
-    if spec.name == "saltpepper":
-        (d,) = _require(spec, "d")
-        return salt_pepper(m, d, int(p.get("seed", 0))), None
-    if spec.name == "gaussian":
-        hsize, sigma = _require(spec, "hsize", "sigma")
-        return smooth_gaussian(m, int(hsize), sigma), None
-    if spec.name == "laplacian":
-        (alpha,) = _require(spec, "alpha")
-        return smooth_laplacian(m, alpha), None
-    if spec.name == "log":
-        hsize, sigma = _require(spec, "hsize", "sigma")
-        return smooth_log(m, int(hsize), sigma), None
-    if spec.name == "crop":
-        (pp,) = _require(spec, "p")
-        return crop(m, pp), None
-    raise BadParameterError(f"unknown attack {spec.name!r}")
+    fn, required, _ = _ATTACKS[spec.name]
+    missing = [k for k in required if k not in spec.params]
+    if missing:
+        raise BadParameterError(f"{spec.name}: missing parameters {missing}")
+    out = fn(m, **spec.params)
+    return out if isinstance(out, tuple) else (out, None)

@@ -8,12 +8,12 @@ flags only name files.
 
 import argparse
 import csv
+import io
 import math
 import sys
 from pathlib import Path
 
 from .attacks import (
-    AttackSpec,
     apply,
     apply_registration,
     format_attack,
@@ -30,6 +30,7 @@ from .model_io import (
     generate_model,
     load_model,
     load_watermark,
+    read_text,
     save_model,
     save_watermark,
 )
@@ -201,7 +202,7 @@ def _bench_rows(m, wm, cfg, extra_specs):
 
 
 def _write_csv(rows, meta, path):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         for k, v in meta:
             fh.write(f"# {k}: {v}\n")
         w = csv.writer(fh, lineterminator="\n")
@@ -258,25 +259,19 @@ def cmd_bench(args) -> int:
     for r in rows:
         save_watermark(r["bitmap"], out / r["watermark_path"])
     _write_csv(rows, meta, out / "report.csv")
-    str_rows = [
-        {k: (repr(float(r[k])) if k in ("correlation", "ber", "psnr_db") else r[k]) for k in CSV_COLUMNS}
-        for r in rows
-    ]
-    (out / "report.md").write_text(_markdown_from_rows(str_rows, meta))
+    _write_markdown(out / "report.csv", out / "report.md")
     print(f"wrote {out / 'report.csv'}")
     return 0
 
 
 def read_report_csv(path):
-    meta, rows = [], []
-    with open(path, newline="") as fh:
-        data_lines = []
-        for line in fh:
-            if line.startswith("#"):
-                k, _, v = line[1:].strip().partition(":")
-                meta.append((k.strip(), v.strip()))
-            else:
-                data_lines.append(line)
+    meta, rows, data_lines = [], [], []
+    for line in io.StringIO(read_text(path, "utf-8"), newline=""):
+        if line.startswith("#"):
+            k, _, v = line[1:].strip().partition(":")
+            meta.append((k.strip(), v.strip()))
+        else:
+            data_lines.append(line)
     reader = csv.reader(data_lines)
     header = next(reader)
     if tuple(header) != CSV_COLUMNS:
@@ -286,9 +281,13 @@ def read_report_csv(path):
     return meta, rows
 
 
+def _write_markdown(csv_path, md_path):
+    meta, rows = read_report_csv(csv_path)
+    Path(md_path).write_text(_markdown_from_rows(rows, meta), encoding="utf-8")
+
+
 def cmd_report(args) -> int:
-    meta, rows = read_report_csv(args.csv)
-    Path(args.out).write_text(_markdown_from_rows(rows, meta))
+    _write_markdown(args.csv, args.out)
     return 0
 
 

@@ -1,22 +1,26 @@
 """Mamdani fuzzy inference with a small textual rule language.
 
-The engine is the classic min/max pipeline: inputs are fuzzified through
-piecewise-linear membership functions, each rule's firing strength is the
-minimum of its antecedent memberships (AND only) scaled by the rule weight,
-the consequent set is clipped at that strength, clipped sets are aggregated
-pointwise by max, and the crisp output is the centroid of the aggregate on
-a fixed 1001-point discretization of [0, 1].
+The engine is the classic min/max pipeline: inputs are clamped to their
+universes and fuzzified through piecewise-linear membership functions,
+each rule's firing strength is the minimum of its antecedent memberships
+(AND only) scaled by the rule weight, the consequent set is clipped at
+that strength, clipped sets are aggregated pointwise by max, and the
+crisp output is the centroid of the aggregate on a fixed 1001-point
+discretization of [0, 1].
 
-The vectorized evaluate_many aggregates per output term rather than per
-rule: it takes the max of the strengths of all rules that share a
-consequent term, then clips that term's set once, and only over the grid
-columns where the term's membership is nonzero.  Because min and max
-select one of their operands without rounding,
+Every entry point runs one path: _term_strengths fuzzifies each input
+term once and max-folds the strengths of the rules that share a consequent
+term; _aggregate clips each term's set once, only over the grid columns
+where its membership is nonzero.  Because min and max select one of their
+operands without rounding,
 
     max(min(s1, mu), min(s2, mu)) == min(max(s1, s2), mu)
 
-holds exactly, so the aggregate, and with it the crisp output, is
-bit-identical to clipping one set per rule.
+holds exactly, so the aggregate is bit-identical to clipping one set per
+rule.  evaluate_many takes every row's centroid with one matrix product;
+evaluate takes its one row's with math.fsum, which rounds correctly, so a
+symmetric aggregate has an exact centroid (0.5 for one rule clipped about
+0.5).
 
 Rule language, one statement per rule, case-insensitive keywords:
 
@@ -29,7 +33,7 @@ Only AND is supported as a connective.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -257,12 +261,8 @@ def validate_watermark_system(sys: FuzzySystem):
         raise BadParameterError(f"rule base must have exactly 15 rules, got {len(sys.rules)}")
     axis = np.linspace(0.0, 1.0, 11)
     c, b, a = np.meshgrid(axis, axis, axis, indexing="ij")
-    grid = {"curvature": c.ravel(), "bumpiness": b.ravel(), "area": a.ravel()}
-    strengths = np.zeros(c.size)
-    for rule in sys.rules:
-        s = _rule_strength(sys, rule, grid)
-        strengths = np.maximum(strengths, s)
-    if not (strengths > 0).all():
+    fired = functools.reduce(np.maximum, _term_strengths(sys, c, b, a).values())
+    if not (fired > 0).all():
         raise BadParameterError("rule base is not total: some inputs fire no rule")
     return sys
 
@@ -385,30 +385,44 @@ def format_rules(rules) -> str:
 # ---------------------------------------------------------------------------
 # Inference
 
-def _rule_strength(sys: FuzzySystem, rule: Rule, values):
-    s = None
-    for var, term in rule.antecedents:
-        mu = sys.input(var).term(term).membership(values[var])
-        s = mu if s is None else np.minimum(s, mu)
-    return rule.weight * np.asarray(s, dtype=float)
+def _term_strengths(sys: FuzzySystem, curvature, bumpiness, area):
+    """{output term: max over the term's rules of the rule strength}, one
+    value per input; inputs are clamped to their universes."""
+    values = dict(zip(INPUT_NAMES, (curvature, bumpiness, area)))
+    mu = {
+        (name, term): m
+        for name, x in values.items()
+        for term, m in sys.input(name).fuzzify(np.asarray(x, float).ravel()).items()
+    }
+    strength = {}
+    for rule in sys.rules:
+        s = rule.weight * functools.reduce(np.minimum, (mu[a] for a in rule.antecedents))
+        term = rule.consequent[1]
+        strength[term] = np.maximum(strength[term], s) if term in strength else s
+    return strength
+
+
+def _aggregate(sys: FuzzySystem, curvature, bumpiness, area):
+    """The output grid and the (m, 1001) max-aggregate of the clipped
+    output sets; each term is clipped only over its nonzero grid columns."""
+    lo, hi = sys.output.universe
+    grid = lo + (hi - lo) * _GRID
+    agg = np.zeros((np.size(curvature), CENTROID_POINTS))
+    for term, s in _term_strengths(sys, curvature, bumpiness, area).items():
+        mf = sys.output.term(term).membership(grid)
+        nonzero = np.flatnonzero(mf)
+        if nonzero.size == 0:
+            continue
+        cols = slice(nonzero[0], nonzero[-1] + 1)
+        support = agg[:, cols]
+        np.maximum(support, np.minimum(s[:, None], mf[cols]), out=support)
+    return grid, agg
 
 
 def evaluate(sys: FuzzySystem, curvature, bumpiness, area) -> float:
     """Crisp output for one input triple (math.fsum centroid, fully
     deterministic and exact for symmetric aggregates)."""
-    values = dict(zip(INPUT_NAMES, (curvature, bumpiness, area)))
-    for var in sys.inputs:
-        if var.name in values:
-            values[var.name] = float(var.clamp(values[var.name]))
-    lo, hi = sys.output.universe
-    grid = lo + (hi - lo) * _GRID
-    agg = np.zeros(CENTROID_POINTS)
-    for rule in sys.rules:
-        strength = float(_rule_strength(sys, rule, values))
-        if strength <= 0.0:
-            continue
-        mf = sys.output.term(rule.consequent[1])
-        agg = np.maximum(agg, np.minimum(strength, mf.membership(grid)))
+    grid, (agg,) = _aggregate(sys, curvature, bumpiness, area)
     mass = math.fsum(agg)
     if mass == 0.0:
         raise EmptyAggregateError("no rule fired; aggregate set is empty")
@@ -417,40 +431,8 @@ def evaluate(sys: FuzzySystem, curvature, bumpiness, area) -> float:
 
 
 def evaluate_many(sys: FuzzySystem, curvature, bumpiness, area) -> np.ndarray:
-    """Vectorized evaluate over equal-length input arrays.
-
-    Each input term is fuzzified once, rule strengths are folded per output
-    term by max before clipping, and each term is clipped only over the
-    grid columns where its membership is nonzero.  The aggregate equals the
-    rule-by-rule one exactly (see the module docstring)."""
-    values = {
-        "curvature": np.clip(np.asarray(curvature, float).ravel(), *sys.input("curvature").universe),
-        "bumpiness": np.clip(np.asarray(bumpiness, float).ravel(), *sys.input("bumpiness").universe),
-        "area": np.clip(np.asarray(area, float).ravel(), *sys.input("area").universe),
-    }
-    mu = {
-        (name, term): mf.membership(x)
-        for name, x in values.items()
-        for term, mf in sys.input(name).terms
-    }
-    strength = {}
-    for rule in sys.rules:
-        s = rule.weight * functools.reduce(np.minimum, (mu[a] for a in rule.antecedents))
-        term = rule.consequent[1]
-        strength[term] = np.maximum(strength[term], s) if term in strength else s
-
-    m = values["curvature"].size
-    lo, hi = sys.output.universe
-    grid = lo + (hi - lo) * _GRID
-    agg = np.zeros((m, CENTROID_POINTS))
-    for term, s in strength.items():
-        mf = sys.output.term(term).membership(grid)
-        nonzero = np.flatnonzero(mf)
-        if nonzero.size == 0:
-            continue
-        cols = slice(nonzero[0], nonzero[-1] + 1)
-        support = agg[:, cols]
-        np.maximum(support, np.minimum(s[:, None], mf[cols]), out=support)
+    """Vectorized evaluate over equal-length input arrays."""
+    grid, agg = _aggregate(sys, curvature, bumpiness, area)
     mass = agg.sum(axis=1)
     if (mass == 0.0).any():
         raise EmptyAggregateError("no rule fired for some inputs; aggregate set is empty")
@@ -466,6 +448,5 @@ def weight_class(sys: FuzzySystem, w) -> str:
 
 def weight_class_many(sys: FuzzySystem, w) -> np.ndarray:
     """Vectorized weight_class: array of term indices (argmax, first wins)."""
-    w = sys.output.clamp(np.asarray(w, dtype=float))
-    stack = np.stack([mf.membership(w) for _, mf in sys.output.terms])
+    stack = np.stack(list(sys.output.fuzzify(np.asarray(w, dtype=float)).values()))
     return np.argmax(stack, axis=0)

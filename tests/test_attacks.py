@@ -11,7 +11,6 @@ from gridmark.attacks import (
     crop,
     format_attack,
     kernel_gaussian,
-    kernel_laplacian,
     kernel_log,
     load_registration,
     parse_attack,
@@ -229,21 +228,6 @@ def test_gaussian_kernel_validation():
         kernel_gaussian(3, 0.0)
 
 
-def test_laplacian_kernel_pins():
-    k = kernel_laplacian(1.0)
-    want = np.array([[0.5, 0.0, 0.5], [0.0, -2.0, 0.0], [0.5, 0.0, 0.5]])
-    assert np.array_equal(k, want)
-    k5 = kernel_laplacian(0.5)
-    want5 = (4.0 / 1.5) * np.array(
-        [[0.125, 0.125, 0.125], [0.125, -1.0, 0.125], [0.125, 0.125, 0.125]]
-    )
-    assert np.abs(k5 - want5).max() <= 1e-15
-    with pytest.raises(BadParameterError):
-        kernel_laplacian(1.5)
-    with pytest.raises(BadParameterError):
-        kernel_laplacian(-0.1)
-
-
 def test_log_kernel_zero_sum():
     k = kernel_log(5, 0.5)
     assert k.shape == (5, 5)
@@ -386,6 +370,35 @@ def test_attack_spec_validation():
         AttackSpec("vaporize", {})
     with pytest.raises(BadParameterError):
         AttackSpec("crop", {"q": 1.0})
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("gaussian", {"hsize": 3.0, "sigma": 10.0}),
+        ("log", {"hsize": 5.7, "sigma": 0.5}),
+        ("log", {"hsize": "5", "sigma": 0.5}),
+        ("randomnoise", {"a": 0.1, "seed": 7.5}),
+        ("saltpepper", {"d": 0.1, "seed": -1}),
+        ("rotate", {"axis": "z", "angle": math.inf}),
+        ("randomnoise", {"a": math.nan}),
+        ("scale", {"k": "2"}),
+    ],
+)
+def test_attack_spec_rejects_ill_typed_parameters(name, params):
+    # apply passes parameters through unchanged, so a float hsize or seed
+    # must stop here rather than be truncated or reach numpy, and so must a
+    # number that is not finite or not a number at all
+    with pytest.raises(BadParameterError):
+        AttackSpec(name, params)
+
+
+def test_attack_spec_accepts_numpy_integers(bumps64):
+    spec = AttackSpec("gaussian", {"hsize": np.int64(3), "sigma": 10.0})
+    out, _ = apply(bumps64, spec)
+    assert np.array_equal(out.x3, smooth_gaussian(bumps64, 3, 10.0).x3)
+    got, _ = apply(bumps64, AttackSpec("randomnoise", {"a": 0.1}))
+    assert np.array_equal(got.x3, random_noise(bumps64, 0.1, 0).x3)
 
 
 def test_apply_dispatch_registration(bumps64):

@@ -251,6 +251,17 @@ def test_attack_bad_parameters_exit_code(workdir, tmp_path, capsys):
         "--out", str(tmp_path / "x.grid3"),
     )
     assert code == 2
+    # numpy refuses a negative seed and math.cos an infinite angle with a
+    # ValueError; the spec must stop both first
+    for spec in ("randomnoise:a=0.1,seed=-1", "rotate:axis=z,angle=inf"):
+        code, _, err = run(
+            capsys, "attack",
+            "--model", str(workdir / "marked.grid3"),
+            "--spec", spec,
+            "--out", str(tmp_path / "x.grid3"),
+        )
+        assert code == 2
+        assert "BadParameterError" in err
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +364,19 @@ def test_read_report_csv_rejects_foreign_header(tmp_path):
     with pytest.raises(GridmarkError):
         read_report_csv(bad)
     assert CSV_COLUMNS[0] == "attack"
+
+
+def test_report_reads_and_writes_utf8(bench_dir, tmp_path, capsys):
+    csv_bytes = (bench_dir / "report.csv").read_bytes()
+    good = tmp_path / "utf8.csv"
+    good.write_bytes(csv_bytes.replace(b"00_none.pbm", "café.pbm".encode()))
+    code, _, _ = run(capsys, "report", "--csv", str(good), "--out", str(tmp_path / "good.md"))
+    assert code == 0
+    assert "[café.pbm](café.pbm)".encode() in (tmp_path / "good.md").read_bytes()
+
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(csv_bytes.replace(b"00_none.pbm", b"caf\xe9.pbm"))
+    code, _, err = run(capsys, "report", "--csv", str(bad), "--out", str(tmp_path / "bad.md"))
+    assert code == 2
+    assert "MalformedFileError" in err
+    assert not (tmp_path / "bad.md").exists()

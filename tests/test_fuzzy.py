@@ -413,26 +413,62 @@ def test_fine_grid_agreement(system):
 
 
 # ---------------------------------------------------------------------------
-# The rule-by-rule aggregation evaluate_many replaced, kept as an exact
-# reference: one (m, 1001) clipped set per rule, max-aggregated in rule order.
+# The per-rule code the shared fuzzify -> fold -> clip path replaced, kept as
+# exact references: the rule-by-rule (m, 1001) aggregation of the vectorized
+# evaluator, the scalar evaluator that clipped one set per fired rule, and
+# the totality check that maxed rule strengths over an 11^3 grid.
+
+def rule_strength(sys, rule, values):
+    s = None
+    for var, term in rule.antecedents:
+        mu = sys.input(var).term(term).membership(values[var])
+        s = mu if s is None else np.minimum(s, mu)
+    return rule.weight * np.asarray(s, dtype=float)
+
+
+def reference_grid(sys):
+    lo, hi = sys.output.universe
+    return lo + (hi - lo) * (np.arange(CENTROID_POINTS) / (CENTROID_POINTS - 1.0))
+
 
 def aggregate_by_rule(sys, c, b, a):
     values = {
         name: np.clip(np.asarray(x, float).ravel(), *sys.input(name).universe)
         for name, x in zip(INPUT_NAMES, (c, b, a))
     }
-    lo, hi = sys.output.universe
-    grid = lo + (hi - lo) * (np.arange(CENTROID_POINTS) / (CENTROID_POINTS - 1.0))
+    grid = reference_grid(sys)
     agg = np.zeros((values["curvature"].size, CENTROID_POINTS))
     for rule in sys.rules:
-        s = None
-        for var, term in rule.antecedents:
-            mu = sys.input(var).term(term).membership(values[var])
-            s = mu if s is None else np.minimum(s, mu)
-        strength = rule.weight * np.asarray(s, dtype=float)
+        strength = rule_strength(sys, rule, values)
         mf = sys.output.term(rule.consequent[1]).membership(grid)
         np.maximum(agg, np.minimum(strength[:, None], mf[None, :]), out=agg)
     return agg, grid
+
+
+def evaluate_by_rule(sys, c, b, a):
+    values = {name: float(sys.input(name).clamp(x)) for name, x in zip(INPUT_NAMES, (c, b, a))}
+    grid = reference_grid(sys)
+    agg = np.zeros(CENTROID_POINTS)
+    for rule in sys.rules:
+        strength = float(rule_strength(sys, rule, values))
+        if strength <= 0.0:
+            continue
+        mf = sys.output.term(rule.consequent[1]).membership(grid)
+        agg = np.maximum(agg, np.minimum(strength, mf))
+    mass = math.fsum(agg)
+    if mass == 0.0:
+        raise EmptyAggregateError("no rule fired")
+    return math.fsum(x * m for x, m in zip(grid, agg)) / mass
+
+
+def is_total_by_rule(sys):
+    axis = np.linspace(0.0, 1.0, 11)
+    c, b, a = np.meshgrid(axis, axis, axis, indexing="ij")
+    grid = {"curvature": c.ravel(), "bumpiness": b.ravel(), "area": a.ravel()}
+    strengths = np.zeros(c.size)
+    for rule in sys.rules:
+        strengths = np.maximum(strengths, rule_strength(sys, rule, grid))
+    return bool((strengths > 0).all())
 
 
 unit_inputs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.25, 1.25))
@@ -478,6 +514,25 @@ def test_evaluate_many_equals_rule_by_rule_aggregation(variables, triples, rules
     else:
         assert np.array_equal(evaluate_many(sys, c, b, a), (agg @ grid) / mass)
 
+    # the scalar evaluator, bit for bit, on every triple
+    for triple, row_mass in zip(triples, mass):
+        if row_mass == 0.0:
+            with pytest.raises(EmptyAggregateError):
+                evaluate_by_rule(sys, *triple)
+            with pytest.raises(EmptyAggregateError):
+                evaluate(sys, *triple)
+        else:
+            assert evaluate(sys, *triple).hex() == evaluate_by_rule(sys, *triple).hex()
+
+    # the totality check on a 15-rule base cut from the same rules, with
+    # the covering rules first when there are any
+    base = FuzzySystem(inputs, output, ((cover or ()) + tuple(rules) * 2)[:15])
+    if is_total_by_rule(base):
+        assert validate_watermark_system(base) is base
+    else:
+        with pytest.raises(BadParameterError, match="not total"):
+            validate_watermark_system(base)
+
 
 def test_evaluate_many_equals_rule_by_rule_on_default_base(system):
     rng = np.random.default_rng(46)
@@ -501,6 +556,24 @@ def test_weight_class_pins(system):
     # clamping
     assert weight_class(system, 1.2) == "HIGHEST"
     assert weight_class(system, -0.2) == "LOWEST"
+
+
+def weight_class_by_stack(sys, w):
+    # the stacked-membership argmax weight_class_many replaced
+    w = sys.output.clamp(np.asarray(w, dtype=float))
+    return np.argmax(np.stack([mf.membership(w) for _, mf in sys.output.terms]), axis=0)
+
+
+def test_weight_class_many_equals_stacked_argmax(system):
+    crossings = np.arange(13) / 12.0  # the peaks k/6 and the crossovers between them
+    near = np.concatenate([np.nextafter(crossings, -np.inf), np.nextafter(crossings, np.inf)])
+    outside = np.array([-np.inf, -1.0, -1e-300, -0.0, 1.0 + 1e-16, 1.5, 2.0, np.inf])
+    rng = np.random.default_rng(47)
+    ws = np.concatenate([crossings, near, outside, rng.uniform(-0.5, 1.5, 2000)])
+    assert np.array_equal(weight_class_many(system, ws), weight_class_by_stack(system, ws))
+    for w in np.concatenate([crossings, outside]):
+        assert weight_class_many(system, w) == weight_class_by_stack(system, w)
+        assert weight_class_many(system, float(w)).ndim == 0
 
 
 def test_weight_class_many_matches_scalar(system):

@@ -225,9 +225,22 @@ def salt_pepper(m: GridModel, d: float, seed: int = 0) -> GridModel:
 # ---------------------------------------------------------------------------
 # Smoothing kernels and filters
 
-def _check_hsize(hsize):
+def _check_hsize(hsize, side=None):
+    """hsize is an odd integer >= 3 and, given the model's side, no wider
+    than the model: a wider kernel is useless, and a very wide one would not
+    fit in memory, so smoothing checks this before building any kernel."""
     if not isinstance(hsize, (int, np.integer)) or hsize < 3 or hsize % 2 == 0:
         raise BadParameterError(f"hsize must be an odd integer >= 3, got {hsize!r}")
+    if side is not None and hsize > side:
+        raise BadParameterError(f"hsize {hsize} is wider than the model (side {side})")
+
+
+def _check_finite(kernel, sigma):
+    # sigma**2 or sigma**4 out of float range: an underflow to 0 made an
+    # all-NaN kernel, and convolving with it left the model unchanged
+    if not np.isfinite(kernel).all():
+        raise BadParameterError(f"sigma={sigma!r} gives a non-finite kernel")
+    return kernel
 
 
 def kernel_gaussian(hsize: int, sigma: float) -> np.ndarray:
@@ -236,19 +249,21 @@ def kernel_gaussian(hsize: int, sigma: float) -> np.ndarray:
         raise BadParameterError(f"sigma must be positive, got {sigma}")
     half = hsize // 2
     n1, n2 = np.mgrid[-half : half + 1, -half : half + 1]
-    g = np.exp(-(n1**2 + n2**2) / (2.0 * sigma**2))
-    return g / g.sum()
+    s = np.float64(sigma)  # its powers overflow to inf, where a Python float raises
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = np.exp(-(n1**2 + n2**2) / (2.0 * s**2))
+        g = g / g.sum()
+    return _check_finite(g, sigma)
 
 
 def kernel_log(hsize: int, sigma: float) -> np.ndarray:
-    _check_hsize(hsize)
-    if not sigma > 0:
-        raise BadParameterError(f"sigma must be positive, got {sigma}")
+    g = kernel_gaussian(hsize, sigma)
     half = hsize // 2
     n1, n2 = np.mgrid[-half : half + 1, -half : half + 1]
-    g = kernel_gaussian(hsize, sigma)
-    h = (n1**2 + n2**2 - 2.0 * sigma**2) / sigma**4 * g
-    return h - h.mean()
+    s = np.float64(sigma)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = (n1**2 + n2**2 - 2.0 * s**2) / s**4 * g
+    return _check_finite(h - h.mean(), sigma)
 
 
 def _convolve(mat: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -256,6 +271,7 @@ def _convolve(mat: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def smooth_gaussian(m: GridModel, hsize: int, sigma: float) -> GridModel:
+    _check_hsize(hsize, m.n)
     k = kernel_gaussian(hsize, sigma)
     return GridModel(*(_convolve(m.matrix(n), k) for n in _AXES))
 
@@ -272,6 +288,7 @@ def smooth_laplacian(m: GridModel, alpha: float) -> GridModel:
 
 def smooth_log(m: GridModel, hsize: int, sigma: float) -> GridModel:
     """Unsharp-style filtering: subtract the LoG response from the surface."""
+    _check_hsize(hsize, m.n)
     k = kernel_log(hsize, sigma)
     return GridModel(*(m.matrix(n) - _convolve(m.matrix(n), k) for n in _AXES))
 

@@ -16,14 +16,15 @@ Features per block of the surface S(i,j) = (x1, x2, x3):
              least-squares plane (sqrt of the smallest scatter eigenvalue
              over the point count)
 
-All blocks are evaluated in one batched pass over a (B, 8, 8, 3) stack of
+The blocks are evaluated in batched passes over a (B, 8, 8, 3) stack of
 the surface's blocks: one Laplacian, one batched cross product and one
-stacked SVD for the whole surface.  Each reduction runs over one
-contiguous per-block row (36 Laplacian norms, 49 cell areas, 64 points)
-in the order a block-by-block loop sums it, so the features are
-bit-identical to that loop's, and a block's features do not depend on
-whether it is evaluated alone (block_features) or with the rest of the
-surface (raw_features).
+stacked SVD per pass.  raw_features cuts the stack into 256-block chunks
+(a multiple of 64, see chunks.py) and runs them across the usable CPUs.
+Each reduction runs over one contiguous per-block row (36 Laplacian
+norms, 49 cell areas, 64 points) in the order a block-by-block loop sums
+it, so the features are bit-identical to that loop's, and a block's
+features do not depend on whether it is evaluated alone (block_features),
+in a chunk or with the rest of the surface, nor on the thread count.
 
 Raw features are normalized per channel to [0,1] by a robust percentile
 map; the fuzzy system turns them into a crisp weight, and a slot is
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chunks import map_chunks
 from .errors import DimensionError
 from .fuzzy import FuzzySystem, OUTPUT_TERMS, evaluate_many, weight_class_many
 from .model_io import GridModel, validate_model
@@ -161,7 +163,7 @@ class WeightField:
 def raw_features(ref: GridModel) -> FeatureField:
     """Raw features of every block position, as (N/8, N/8) arrays."""
     nb = ref.n // 8
-    return FeatureField(*(x.reshape(nb, nb) for x in _features(_block_points(ref))))
+    return FeatureField(*(x.reshape(nb, nb) for x in map_chunks(_features, _block_points(ref))))
 
 
 def _normalize_channel(x: np.ndarray) -> np.ndarray:

@@ -17,10 +17,17 @@ operands without rounding,
     max(min(s1, mu), min(s2, mu)) == min(max(s1, s2), mu)
 
 holds exactly, so the aggregate is bit-identical to clipping one set per
-rule.  evaluate_many takes every row's centroid with one matrix product;
-evaluate takes its one row's with math.fsum, which rounds correctly, so a
-symmetric aggregate has an exact centroid (0.5 for one rule clipped about
-0.5).
+rule.  evaluate_many takes every row's centroid with a row sum and a
+matrix-vector product; evaluate takes its one row's with math.fsum, which
+rounds correctly, so a symmetric aggregate has an exact centroid (0.5 for
+one rule clipped about 0.5).
+
+evaluate_many runs in 256-input chunks across the usable CPUs (see
+chunks.py), so its aggregate is (256, 1001) per chunk rather than one per
+whole field.  The result does not depend on the chunking or the thread
+count: the mass and the moment are per-row reductions, and with a chunk
+size that is a multiple of 64 the BLAS product groups each row as one
+whole-array call on one BLAS thread does.
 
 Rule language, one statement per rule, case-insensitive keywords:
 
@@ -38,6 +45,7 @@ from importlib import resources
 
 import numpy as np
 
+from .chunks import map_chunks
 from .errors import (
     BadParameterError,
     EmptyAggregateError,
@@ -430,13 +438,19 @@ def evaluate(sys: FuzzySystem, curvature, bumpiness, area) -> float:
     return moment / mass
 
 
-def evaluate_many(sys: FuzzySystem, curvature, bumpiness, area) -> np.ndarray:
-    """Vectorized evaluate over equal-length input arrays."""
+def _mass_and_moment(sys: FuzzySystem, curvature, bumpiness, area):
+    """Per input row: the aggregate's mass and its first moment on the grid."""
     grid, agg = _aggregate(sys, curvature, bumpiness, area)
-    mass = agg.sum(axis=1)
+    return agg.sum(axis=1), agg @ grid
+
+
+def evaluate_many(sys: FuzzySystem, curvature, bumpiness, area) -> np.ndarray:
+    """Vectorized evaluate over equal-length input arrays: one crisp output
+    per element, flattened."""
+    inputs = (x.ravel() for x in np.broadcast_arrays(curvature, bumpiness, area))
+    mass, moment = map_chunks(functools.partial(_mass_and_moment, sys), *inputs)
     if (mass == 0.0).any():
         raise EmptyAggregateError("no rule fired for some inputs; aggregate set is empty")
-    moment = agg @ grid
     return moment / mass
 
 

@@ -48,3 +48,13 @@ def small_model():
 @pytest.fixture(scope="session")
 def small_marked(small_model, wm16, default_cfg):
     return embed(small_model, wm16, default_cfg)
+
+
+@pytest.fixture(params=[1, 4], ids=["loop", "pool"])
+def chunk_workers(request, monkeypatch):
+    """Run chunked kernels as a plain loop (one usable CPU) or on four
+    threads, the caller and three pool workers, whatever the machine has."""
+    from gridmark import chunks
+
+    monkeypatch.setattr(chunks, "_usable_cpus", lambda: request.param)
+    return request.param

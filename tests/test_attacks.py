@@ -228,6 +228,34 @@ def test_gaussian_kernel_validation():
         kernel_gaussian(3, 0.0)
 
 
+@pytest.mark.parametrize(
+    "kernel, sigma",
+    [
+        (kernel_gaussian, 1e-300),  # sigma**2 underflows to 0
+        (kernel_log, 1e-300),
+        (kernel_log, 1e-100),  # sigma**4 underflows to 0
+        (kernel_log, 1e200),  # sigma**2 overflows
+    ],
+)
+def test_kernels_reject_sigmas_with_no_finite_kernel(kernel, sigma):
+    with pytest.raises(BadParameterError):
+        kernel(3, sigma)
+
+
+def test_kernels_keep_extreme_sigmas_with_finite_kernels():
+    assert np.array_equal(kernel_gaussian(3, 1e-160), np.pad([[1.0]], 1))  # sigma**2 subnormal
+    assert np.array_equal(kernel_gaussian(3, 1e200), np.full((3, 3), 1.0 / 9.0))
+
+
+@pytest.mark.parametrize("name", ["gaussian", "log"])
+def test_smoothing_rejects_kernels_wider_than_the_model(bumps64, name):
+    assert apply(bumps64, AttackSpec(name, {"hsize": 63, "sigma": 1.0}))[0].n == 64
+    # a kernel this wide would need ~149 GiB; it must be refused before any allocation
+    for hsize in (65, 100001):
+        with pytest.raises(BadParameterError, match="wider than the model"):
+            apply(bumps64, AttackSpec(name, {"hsize": hsize, "sigma": 1.0}))
+
+
 def test_log_kernel_zero_sum():
     k = kernel_log(5, 0.5)
     assert k.shape == (5, 5)

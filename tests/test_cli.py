@@ -252,8 +252,17 @@ def test_attack_bad_parameters_exit_code(workdir, tmp_path, capsys):
     )
     assert code == 2
     # numpy refuses a negative seed and math.cos an infinite angle with a
-    # ValueError; the spec must stop both first
-    for spec in ("randomnoise:a=0.1,seed=-1", "rotate:axis=z,angle=inf"):
+    # ValueError; the spec must stop both first.  A sigma whose square
+    # underflows made an all-NaN kernel that left the model unchanged, and a
+    # kernel wider than the model ran out of memory.
+    for spec in (
+        "randomnoise:a=0.1,seed=-1",
+        "rotate:axis=z,angle=inf",
+        "log:hsize=3,sigma=1e-300",
+        "gaussian:hsize=3,sigma=1e-300",
+        "gaussian:hsize=100001,sigma=1",
+        "log:hsize=129,sigma=1",
+    ):
         code, _, err = run(
             capsys, "attack",
             "--model", str(workdir / "marked.grid3"),

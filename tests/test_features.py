@@ -1,9 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from gridmark import EmbedConfig, GridModel, generate_model
+from gridmark import EmbedConfig, GridModel, chunks, generate_model
 from gridmark.errors import DimensionError
 from gridmark.features import (
     ELIGIBLE_TERMS,
@@ -13,6 +15,8 @@ from gridmark.features import (
     normalize_features,
     raw_features,
     reference_surface,
+    _block_points,
+    _features,
 )
 from gridmark.fuzzy import make_system, weight_class
 from gridmark.wavelet import ALL_LEVEL3_BANDS, EMBED_BANDS, decompose3
@@ -319,3 +323,83 @@ def test_plane_has_no_eligible_blocks(system):
     assert wf.eligible_positions == 0
     # all features identical, so all weights identical
     assert np.unique(wf.weight).size == 1
+
+
+# ---------------------------------------------------------------------------
+# Chunked evaluation: whatever the chunk split and the worker count, the
+# field has the bits of one whole-stack kernel call
+
+def test_map_chunks_concatenates_chunks_in_order(chunk_workers):
+    sizes = []
+
+    def kernel(x, y):
+        sizes.append(x.size)
+        return x + y, x * y
+
+    x = np.arange(1000.0)
+    total, product = chunks.map_chunks(kernel, x, 2.0 * x)
+    assert np.array_equal(total, 3.0 * x) and np.array_equal(product, 2.0 * x * x)
+    assert sorted(sizes) == [232, 256, 256, 256]
+    (empty,) = chunks.map_chunks(lambda e: (e,), np.empty(0))
+    assert empty.shape == (0,)
+
+
+def test_map_chunks_with_one_cpu_stays_on_the_caller(monkeypatch):
+    monkeypatch.setattr(chunks, "_usable_cpus", lambda: 1)
+    threads = set()
+
+    def kernel(x):
+        threads.add(threading.get_ident())
+        return (x,)
+
+    chunks.map_chunks(kernel, np.arange(1000.0))
+    assert threads == {threading.get_ident()}
+
+
+def test_map_chunks_with_two_cpus_runs_two_chunks_at_once(monkeypatch):
+    monkeypatch.setattr(chunks, "_usable_cpus", lambda: 2)
+    barrier = threading.Barrier(2, timeout=20)  # broken unless two threads meet in the kernel
+
+    def kernel(x):
+        barrier.wait()
+        return (x,)
+
+    x = np.arange(512.0)
+    assert np.array_equal(chunks.map_chunks(kernel, x)[0], x)
+
+
+@pytest.mark.parametrize("n", [8, 24, 264, 520])  # 1, 9, 1089 (a 65-row tail) and 4225 blocks
+def test_raw_features_chunked_equal_whole_stack(chunk_workers, n):
+    ref = reference_surface(generate_model("bumps", n, 2), DIRS)
+    got = raw_features(ref)
+    want = _features(_block_points(ref))
+    for channel, w in zip(("curvature", "area", "bumpiness"), want):
+        assert np.array_equal(getattr(got, channel), w.reshape(n // 8, n // 8)), channel
+
+
+def test_concurrent_compute_weights_get_the_serial_field(monkeypatch, system):
+    ref = reference_surface(generate_model("harmonic", 264, 4), DIRS)
+    monkeypatch.setattr(chunks, "_usable_cpus", lambda: 1)
+    want = compute_weights(ref, system)
+    monkeypatch.setattr(chunks, "_usable_cpus", lambda: 4)
+    results = [None, None]
+
+    def run(i):
+        results[i] = compute_weights(ref, system)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to interleave the chunks
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert np.array_equal(got.weight, want.weight)
+        assert np.array_equal(got.eligible, want.eligible)
+        for channel in ("curvature", "area", "bumpiness"):
+            assert np.array_equal(getattr(got.features, channel), getattr(want.features, channel))

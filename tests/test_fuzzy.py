@@ -30,6 +30,7 @@ from gridmark.fuzzy import (
     watermark_variables,
     weight_class,
     weight_class_many,
+    _aggregate,
 )
 
 # ---------------------------------------------------------------------------
@@ -370,6 +371,30 @@ def test_empty_aggregate_raises(variables):
         evaluate(sys, 0.0, 0.5, 0.5)
     with pytest.raises(EmptyAggregateError):
         evaluate_many(sys, [1.0, 0.0], [0.5, 0.5], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("count", [1, 9, 1089, 4225])  # the block counts of n = 8, 24, 264, 520
+def test_evaluate_many_chunked_equals_whole_aggregate(chunk_workers, system, count):
+    rng = np.random.default_rng(count)
+    x = rng.uniform(-0.1, 1.1, size=(3, count))
+    grid, agg = _aggregate(system, *x)
+    # The BLAS product takes rows in small groups.  On one BLAS thread a
+    # whole-array call groups them as 64-row slices do; on several it may
+    # split the rows off those groups (4225 rows on two threads do), so the
+    # reference multiplies 64-row slices of the one whole aggregate.
+    moment = np.concatenate([agg[i : i + 64] @ grid for i in range(0, count, 64)])
+    assert np.array_equal(evaluate_many(system, *x), moment / agg.sum(axis=1))
+
+
+def test_evaluate_many_chunked_edges(chunk_workers, system, variables):
+    assert evaluate_many(system, [], [], []).shape == (0,)
+    # an input that fires no rule, in the third chunk, fails the whole field
+    inputs, output = variables
+    sys = FuzzySystem(inputs, output, (Rule((("curvature", "HIGH"),), ("weight", "LOW")),))
+    c = np.ones(600)
+    c[555] = 0.0
+    with pytest.raises(EmptyAggregateError):
+        evaluate_many(sys, c, np.full(600, 0.5), np.full(600, 0.5))
 
 
 def test_evaluate_against_oracle(system):

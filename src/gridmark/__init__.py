@@ -3,9 +3,10 @@
 A binary image is scrambled with the Arnold cat map and embedded into
 level-3 Haar detail coefficients of the model's coordinate matrices by
 remainder quantization; a Mamdani fuzzy system over local curvature,
-area, and bumpiness decides which coefficient slots may carry payload.
-Extraction is blind: the watermarked model plus the embedding config is
-enough.
+area, and bumpiness sets how far each block's coefficients move toward
+their quantized values.  Extraction is blind: the watermarked model plus
+the embedding config is enough, and it reads every slot with no fuzzy
+inference.
 """
 
 from .arnold import period, scramble, unscramble
@@ -76,7 +77,6 @@ from .fuzzy import (
     parse_rules,
     triangular,
     trapezoidal,
-    weight_class,
 )
 from .metrics import ber, corr2, psnr
 from .model_io import (

@@ -2,19 +2,26 @@
 
 Pipeline (embed): scramble the watermark, project each 8x8 block of each
 embedding direction matrix onto the 8 embedding atoms (its 8 level-3
-detail coefficients), divide by the model's normalization scale, force
-each eligible slot's remainder mod q to a bit-dependent target, multiply
-back and add the change back along the atoms; ineligible blocks stay
-bit-exact.  Extraction recomputes the same reference surface, scale, and
-weight field from the watermarked model alone, majority-votes the
-thresholded remainders per payload bit, and unscrambles.
+detail coefficients), divide by the model's normalization scale, and move
+every slot a fraction alpha of the way to the nearest value whose
+remainder mod q is the bit's target (distortion-compensated QIM).  Each
+block's alpha rises from ALPHA_MIN to 1 with its crisp fuzzy weight, so
+curved, bumpy blocks take close to the full step and flat ones little more
+than half of it; the change goes back along the atoms.  Extraction recomputes the reference surface
+and scale from the watermarked model alone, thresholds the remainder of
+every slot, majority-votes them per payload bit and unscrambles.  It
+needs no weights: since alpha > 1/2, every clean slot stays within q/4 of
+its target and reads back its bit.
 
 Slots form a (direction, subband, u, v) array.  Bit assignment shifts each
 (direction, subband) plane by a fixed stride before reducing mod W^2, so
-every payload bit ends up with one slot in every plane, at spatially
-scattered positions.  Losing a region to cropping, an eligibility flip,
-or a filter that hits one subband family harder than another then costs
-each bit a few votes instead of wiping out entire bits.
+a payload bit gets slots in many planes at spatially scattered
+positions.  Losing a region to cropping, or a filter that hits one
+subband family harder than another, then costs each bit a few votes
+instead of wiping out entire bits.
+
+Models marked before the weight became the step size (when only HIGH and
+HIGHER blocks carried payload) do not decode under this extractor.
 """
 
 import hashlib
@@ -32,10 +39,17 @@ from .errors import (
 )
 from .features import compute_weights, reference_surface
 from .fuzzy import default_rules_text, make_system, validate_watermark_system
-from .model_io import GridModel, WatermarkBitmap, read_text, validate_model
+from .model_io import GridModel, WatermarkBitmap, read_text
 from .wavelet import EMBED_ATOMS, add_atoms, embed_coefficients
 
 DIRECTION_ORDER = ("x1", "x2", "x3")
+
+# Smallest fraction of the quantization step a slot takes (a zero-weight
+# block); 1/2 < ALPHA_MIN keeps every clean residual below q/4.  Chosen on
+# the three desk models (n=256, W=32): 0.55 leaves clean slots 0.025q of
+# margin and keeps the lowest PSNR at 70.05 dB; larger values buy at most
+# +0.02 battery correlation for up to 1.7 dB (see README).
+ALPHA_MIN = 0.55
 
 
 @dataclass
@@ -160,10 +174,14 @@ class SlotMap:
     """Deterministic slot ordering for (n, w, directions); model-independent.
 
     bit[d, b, u, v] = assigned payload bit index of the slot in direction
-    d, embedding subband b, block position (u, v).  Each plane's raster of
-    positions is offset by plane_index * stride, so one bit never sits in
-    a single subband: with N=256, W=32 and two directions every bit owns
-    exactly one slot in each of the 16 planes, 16 scattered positions.
+    d, embedding subband b, block position (u, v).  Number the slots
+    plane by plane in raster order; every pass of W^2 consecutive slots
+    holds each bit once, shifted by pass_index * stride.  So every bit
+    has a slot, the vote counts of two bits differ by at most one, and
+    one bit never sits in a single subband: with N=256, W=32 and two
+    directions every bit owns exactly one slot in each of the 16 planes,
+    16 scattered positions.  Fewer than W^2 slots raise
+    InsufficientCapacityError.
     """
 
     n: int
@@ -173,12 +191,14 @@ class SlotMap:
 
     def __post_init__(self):
         nb = self.n // 8
-        pos = np.arange(nb * nb, dtype=np.int64).reshape(nb, nb)
-        plane = np.arange(len(self.directions) * len(EMBED_ATOMS)).reshape(-1, len(EMBED_ATOMS), 1, 1)
-        # stride odd and ~5 rows + a few columns per plane step: consecutive
-        # planes land far apart in both grid axes and in row parity
+        slot = np.arange(len(self.directions) * len(EMBED_ATOMS) * nb * nb, dtype=np.int64)
+        if slot.size < self.w**2:
+            raise InsufficientCapacityError(slot.size, self.w**2)
+        # stride odd and ~5 rows + a few columns per pass: consecutive
+        # passes land far apart in both grid axes and in row parity
         stride = 5 * nb + 7
-        self.bit = (pos + plane * stride) % (self.w**2)
+        bit = (slot + (slot // self.w**2) * stride) % self.w**2
+        self.bit = bit.reshape(len(self.directions), len(EMBED_ATOMS), nb, nb)
 
     @property
     def total_slots(self) -> int:
@@ -214,65 +234,47 @@ def read_bit(c, cfg: EmbedConfig):
 # ---------------------------------------------------------------------------
 # Normalization scale
 
-def _scale_of_reference(ref: GridModel) -> float:
-    ranges = []
-    for name in ("x1", "x2", "x3"):
-        lo, hi = np.percentile(ref.matrix(name), [1.0, 99.0])
-        ranges.append(hi - lo)
-    s = float(np.linalg.norm(ranges))
+def normalization_scale(ref: GridModel) -> float:
+    """Euclidean norm of the robust (p99 - p1) per-coordinate ranges of the
+    reference surface; positively homogeneous and translation-invariant."""
+    lo, hi = np.percentile(np.stack([ref.x1, ref.x2, ref.x3]), [1.0, 99.0], axis=(1, 2))
+    s = float(np.linalg.norm(hi - lo))
     if s == 0.0:
         raise DegenerateModelError("model has zero robust extent; cannot normalize")
     return s
 
 
-def normalization_scale(m: GridModel, cfg: EmbedConfig) -> float:
-    """Euclidean norm of the robust (p99 - p1) per-coordinate ranges of the
-    reference surface; positively homogeneous and translation-invariant."""
-    return _scale_of_reference(reference_surface(m, cfg.directions))
-
-
 # ---------------------------------------------------------------------------
 # Embed / extract
 
-def _pipeline_state(m: GridModel, cfg: EmbedConfig):
-    validate_model(m)
-    system = cfg.system()
-    ref = reference_surface(m, cfg.directions)
-    s = _scale_of_reference(ref)
-    wf = compute_weights(ref, system)
-    return ref, s, wf
-
-
 def embed(m: GridModel, wm: WatermarkBitmap, cfg: EmbedConfig) -> GridModel:
-    _, s, wf = _pipeline_state(m, cfg)
-    needed = wm.w**2
-    available = wf.eligible_positions * len(EMBED_ATOMS) * len(cfg.directions)
-    if needed > available:
-        raise InsufficientCapacityError(available, needed)
+    """Move every slot a block-dependent fraction alpha of the way to its
+    quantized value: alpha = ALPHA_MIN + (1 - ALPHA_MIN) * w for the
+    block's crisp fuzzy weight w."""
+    ref = reference_surface(m, cfg.directions)
+    smap = SlotMap(m.n, wm.w, cfg.directions)
+    s = normalization_scale(ref)
+    alpha = ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(ref, cfg.system()).weight
 
     sbits = scramble(wm.bits, cfg.key).ravel()
-    smap = SlotMap(m.n, wm.w, cfg.directions)
     c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
-    written = quantize_embed_bit(c / s, sbits[smap.bit], cfg) * s
-    delta = np.where(wf.eligible, written - c, 0.0)
+    delta = alpha * (quantize_embed_bit(c / s, sbits[smap.bit], cfg) * s - c)
     out = {name: add_atoms(m.matrix(name), delta[di]) for di, name in enumerate(cfg.directions)}
     return m.replace(**out)
 
 
 def extract(m: GridModel, w: int, cfg: EmbedConfig) -> WatermarkBitmap:
     """Blind extraction: per payload bit, majority vote of the thresholded
-    remainders over the currently eligible slots assigned to it (ties
-    decode as 1, bits with no eligible slot as 0), then unscramble."""
+    remainders over every slot assigned to it, then unscramble.  A tied
+    vote decodes as the parity of the scrambled bit index.  A side no
+    embed could have used (fewer than w^2 slots) raises
+    InsufficientCapacityError."""
     if w < 1:
         raise BadParameterError(f"watermark side must be positive, got {w}")
-    _, s, wf = _pipeline_state(m, cfg)
-    smap = SlotMap(m.n, w, cfg.directions)
-    nbits = w * w
-    el = wf.eligible
+    s = normalization_scale(reference_surface(m, cfg.directions))
+    idx = SlotMap(m.n, w, cfg.directions).bit.ravel()
     c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
-    reads = read_bit(c / s, cfg)[:, :, el]
-    idx = smap.bit[:, :, el].ravel()
-    ones = np.bincount(idx, weights=reads.ravel(), minlength=nbits).astype(np.int64)
-    total = np.bincount(idx, minlength=nbits)
-    bits = ((total > 0) & (2 * ones >= total)).astype(np.uint8)
+    twice_ones = 2 * np.bincount(idx, weights=read_bit(c / s, cfg).ravel(), minlength=w * w)
+    total = np.bincount(idx, minlength=w * w)
+    bits = np.where(twice_ones == total, np.arange(w * w) % 2, twice_ones > total).astype(np.uint8)
     return WatermarkBitmap(unscramble(bits.reshape(w, w), cfg.key))

@@ -69,11 +69,9 @@ class DegenerateInputError(GridmarkError):
 
 
 class InsufficientCapacityError(GridmarkError):
-    """Fewer eligible slots than watermark bits."""
+    """Fewer available slots than watermark bits."""
 
-    def __init__(self, eligible, needed):
-        self.eligible = eligible
+    def __init__(self, available, needed):
+        self.available = available
         self.needed = needed
-        super().__init__(
-            f"watermark needs {needed} slots but only {eligible} are eligible"
-        )
+        super().__init__(f"watermark needs {needed} slots but the model has only {available} available slots")

@@ -4,8 +4,8 @@ Every level-3 detail coefficient at position (u, v) is supported by the
 8x8 spatial block rows 8u..8u+7, cols 8v..8v+7, so one feature triple per
 block position feeds all 8 embedding subbands that share it.  Features
 are computed on a reference surface with each block's projection onto the
-8 embedding atoms removed, which makes the weights identical before
-embedding, after embedding, and at blind extraction time.
+8 embedding atoms removed, which makes the weights independent of the
+payload.
 
 Features per block of the surface S(i,j) = (x1, x2, x3):
   curvature  mean Euclidean norm of the 5-point discrete Laplacian of S
@@ -27,8 +27,11 @@ features do not depend on whether it is evaluated alone (block_features),
 in a chunk or with the rest of the surface, nor on the thread count.
 
 Raw features are normalized per channel to [0,1] by a robust percentile
-map; the fuzzy system turns them into a crisp weight, and a slot is
-eligible iff its weight classifies as HIGH or HIGHER.
+map; the fuzzy system turns them into a crisp weight, which sets the
+fraction of the quantization step the block's slots take at embedding.
+Extraction does not use the weights.  The field also marks a block
+eligible iff its weight classifies as HIGH or HIGHER, a diagnostic the
+codec does not read.
 """
 
 import math
@@ -154,10 +157,6 @@ class WeightField:
     @property
     def nb(self):
         return self.weight.shape[0]
-
-    @property
-    def eligible_positions(self) -> int:
-        return int(self.eligible.sum())
 
 
 def raw_features(ref: GridModel) -> FeatureField:

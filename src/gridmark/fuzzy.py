@@ -454,13 +454,9 @@ def evaluate_many(sys: FuzzySystem, curvature, bumpiness, area) -> np.ndarray:
     return moment / mass
 
 
-def weight_class(sys: FuzzySystem, w) -> str:
-    """Output term with maximum membership at w; ties go to the lower-indexed
-    term (the order they are declared on the output variable)."""
-    return sys.output.term_names()[int(weight_class_many(sys, w))]
-
-
 def weight_class_many(sys: FuzzySystem, w) -> np.ndarray:
-    """Vectorized weight_class: array of term indices (argmax, first wins)."""
+    """Index of the output term with maximum membership at each w; ties go
+    to the lower-indexed term (the order they are declared on the output
+    variable)."""
     stack = np.stack(list(sys.output.fuzzify(np.asarray(w, dtype=float)).values()))
     return np.argmax(stack, axis=0)

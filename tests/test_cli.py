@@ -124,11 +124,12 @@ def test_extract_roundtrip(workdir, tmp_path, capsys):
 
 
 def test_embed_capacity_error_exit_code(tmp_path, capsys):
-    save_model(generate_model("plane", 64), tmp_path / "plane.grid3")
-    save_watermark(random_watermark(16), tmp_path / "wm.pbm")
+    # n=64 with two directions has 2 * 8 * 8**2 = 1024 slots; 33**2 = 1089
+    save_model(generate_model("bumps", 64), tmp_path / "small.grid3")
+    save_watermark(random_watermark(33), tmp_path / "wm.pbm")
     code, _, err = run(
         capsys, "embed",
-        "--model", str(tmp_path / "plane.grid3"),
+        "--model", str(tmp_path / "small.grid3"),
         "--watermark", str(tmp_path / "wm.pbm"),
         "--out", str(tmp_path / "marked.grid3"),
     )

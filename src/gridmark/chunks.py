@@ -3,8 +3,8 @@
 The weight field is one independent row per block: its features and its
 fuzzy centroid depend on that block alone.  features.raw_features and
 fuzzy.evaluate_many therefore split their inputs into CHUNK-row slices and
-map a private kernel over them.  numpy's SVD, cross products, reductions
-and matrix-vector products release the GIL, so the caller and the
+map a private kernel over them.  numpy's SVD, elementwise arithmetic,
+reductions and matrix-vector products release the GIL, so the caller and the
 workers of a thread pool made for the call, one thread per usable CPU in
 all, take the chunks from a shared queue; with one CPU or one chunk the
 caller runs them as a plain loop.

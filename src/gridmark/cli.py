@@ -22,7 +22,7 @@ from .attacks import (
     save_registration,
 )
 from .codec import EmbedConfig, config_hash, embed, extract, load_config
-from .errors import DegenerateInputError, GridmarkError
+from .errors import DegenerateInputError, GridmarkError, MalformedFileError
 from .metrics import ber, corr2, psnr
 from .model_io import (
     MODEL_KINDS,
@@ -265,6 +265,9 @@ def cmd_bench(args) -> int:
 
 
 def read_report_csv(path):
+    """(meta, rows) of a bench report.csv.  A file that is not CSV or has no
+    header, a row without one field per column, or a correlation, ber or
+    psnr_db that is not a number raises MalformedFileError."""
     meta, rows, data_lines = [], [], []
     for line in io.StringIO(read_text(path, "utf-8"), newline=""):
         if line.startswith("#"):
@@ -272,12 +275,25 @@ def read_report_csv(path):
             meta.append((k.strip(), v.strip()))
         else:
             data_lines.append(line)
-    reader = csv.reader(data_lines)
-    header = next(reader)
+    try:
+        records = list(csv.reader(data_lines))
+    except csv.Error as e:  # e.g. a field over the csv module's size limit
+        raise MalformedFileError(f"report CSV: {e}") from None
+    if not records:
+        raise MalformedFileError("report CSV has no header row")
+    header, *body = records
     if tuple(header) != CSV_COLUMNS:
-        raise GridmarkError(f"unexpected CSV columns: {header}")
-    for rec in reader:
-        rows.append(dict(zip(CSV_COLUMNS, rec)))
+        raise MalformedFileError(f"unexpected CSV columns: {header}")
+    for i, rec in enumerate(body, start=1):
+        if len(rec) != len(CSV_COLUMNS):
+            raise MalformedFileError(f"CSV row {i}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
+        row = dict(zip(CSV_COLUMNS, rec))
+        for column in ("correlation", "ber", "psnr_db"):
+            try:
+                float(row[column])
+            except ValueError:
+                raise MalformedFileError(f"CSV row {i}: {column} is not a number: {row[column]!r}") from None
+        rows.append(row)
     return meta, rows
 
 

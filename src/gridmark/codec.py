@@ -2,16 +2,17 @@
 
 Pipeline (embed): scramble the watermark, project each 8x8 block of each
 embedding direction matrix onto the 8 embedding atoms (its 8 level-3
-detail coefficients), divide by the model's normalization scale, and move
-every slot a fraction alpha of the way to the nearest value whose
-remainder mod q is the bit's target (distortion-compensated QIM).  Each
-block's alpha rises from ALPHA_MIN to 1 with its crisp fuzzy weight, so
-curved, bumpy blocks take close to the full step and flat ones little more
-than half of it; the change goes back along the atoms.  Extraction recomputes the reference surface
-and scale from the watermarked model alone, thresholds the remainder of
-every slot, majority-votes them per payload bit and unscrambles.  It
-needs no weights: since alpha > 1/2, every clean slot stays within q/4 of
-its target and reads back its bit.
+detail coefficients; the same projection, subtracted, gives the reference
+surface), divide by the model's normalization scale, and move every slot
+a fraction alpha of the way to the nearest value whose remainder mod q is
+the bit's target (distortion-compensated QIM).  Each block's alpha rises
+from ALPHA_MIN to 1 with its crisp fuzzy weight, so curved, bumpy blocks
+take close to the full step and flat ones little more than half of it;
+the change goes back along the atoms.  Extraction recomputes the
+reference surface and scale from the watermarked model alone, thresholds
+the remainder of every slot, majority-votes them per payload bit and
+unscrambles.  It needs no weights: since alpha > 1/2, every clean slot
+stays within q/4 of its target and reads back its bit.
 
 Slots form a (direction, subband, u, v) array.  Bit assignment shifts each
 (direction, subband) plane by a fixed stride before reducing mod W^2, so
@@ -217,9 +218,11 @@ def quantize_embed_bit(c, bit, cfg: EmbedConfig):
     r = np.mod(c, cfg.q)
     rt = np.where(bit == 1, cfg.r1, cfg.r0)
     base = c - r + rt
-    cands = np.stack([base, base - cfg.q, base + cfg.q])
-    pick = np.argmin(np.abs(cands - c), axis=0)
-    out = np.take_along_axis(cands, pick[None, ...], axis=0)[0]
+    down, up = base - cfg.q, base + cfg.q
+    d_base, d_down, d_up = np.abs(base - c), np.abs(down - c), np.abs(up - c)
+    # strict comparisons: a tie keeps the earlier of base, down, up
+    out = np.where(d_down < d_base, down, base)
+    out = np.where(d_up < np.minimum(d_base, d_down), up, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,13 +254,13 @@ def embed(m: GridModel, wm: WatermarkBitmap, cfg: EmbedConfig) -> GridModel:
     """Move every slot a block-dependent fraction alpha of the way to its
     quantized value: alpha = ALPHA_MIN + (1 - ALPHA_MIN) * w for the
     block's crisp fuzzy weight w."""
-    ref = reference_surface(m, cfg.directions)
+    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
+    ref = reference_surface(m, cfg.directions, c)
     smap = SlotMap(m.n, wm.w, cfg.directions)
     s = normalization_scale(ref)
     alpha = ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(ref, cfg.system()).weight
 
     sbits = scramble(wm.bits, cfg.key).ravel()
-    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
     delta = alpha * (quantize_embed_bit(c / s, sbits[smap.bit], cfg) * s - c)
     out = {name: add_atoms(m.matrix(name), delta[di]) for di, name in enumerate(cfg.directions)}
     return m.replace(**out)
@@ -271,9 +274,9 @@ def extract(m: GridModel, w: int, cfg: EmbedConfig) -> WatermarkBitmap:
     InsufficientCapacityError."""
     if w < 1:
         raise BadParameterError(f"watermark side must be positive, got {w}")
-    s = normalization_scale(reference_surface(m, cfg.directions))
-    idx = SlotMap(m.n, w, cfg.directions).bit.ravel()
     c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
+    s = normalization_scale(reference_surface(m, cfg.directions, c))
+    idx = SlotMap(m.n, w, cfg.directions).bit.ravel()
     twice_ones = 2 * np.bincount(idx, weights=read_bit(c / s, cfg).ravel(), minlength=w * w)
     total = np.bincount(idx, minlength=w * w)
     bits = np.where(twice_ones == total, np.arange(w * w) % 2, twice_ones > total).astype(np.uint8)

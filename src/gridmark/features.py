@@ -16,15 +16,18 @@ Features per block of the surface S(i,j) = (x1, x2, x3):
              least-squares plane (sqrt of the smallest scatter eigenvalue
              over the point count)
 
-The blocks are evaluated in batched passes over a (B, 8, 8, 3) stack of
-the surface's blocks: one Laplacian, one batched cross product and one
-stacked SVD per pass.  raw_features cuts the stack into 256-block chunks
-(a multiple of 64, see chunks.py) and runs them across the usable CPUs.
-Each reduction runs over one contiguous per-block row (36 Laplacian
-norms, 49 cell areas, 64 points) in the order a block-by-block loop sums
-it, so the features are bit-identical to that loop's, and a block's
-features do not depend on whether it is evaluated alone (block_features),
-in a chunk or with the rest of the surface, nor on the thread count.
+The blocks are evaluated in batched passes over three (B, 8, 8) stacks of
+the surface's blocks, one per coordinate.  The Laplacian, the edge
+vectors and the cross products are written out per coordinate, a
+3-vector norm is sqrt(a*a + b*b + c*c), and the centred points are
+stacked into (B, 64, 3) only for the one batched SVD.  raw_features cuts
+the stacks into 256-block chunks (a multiple of 64, see chunks.py) and
+runs them across the usable CPUs.  Each reduction runs over one
+contiguous per-block row (36 Laplacian norms, 49 cell areas, 64 points)
+in the order a block-by-block loop sums it, so the features are
+bit-identical to that loop's, and a block's features do not depend on
+whether it is evaluated alone (block_features), in a chunk or with the
+rest of the surface, nor on the thread count.
 
 Raw features are normalized per channel to [0,1] by a robust percentile
 map; the fuzzy system turns them into a crisp weight, which sets the
@@ -34,6 +37,7 @@ eligible iff its weight classifies as HIGH or HIGHER, a diagnostic the
 codec does not read.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,64 +60,80 @@ def _direction_names(directions):
     return tuple(directions)
 
 
-def reference_surface(m: GridModel, directions) -> GridModel:
+def reference_surface(m: GridModel, directions, coefficients=None) -> GridModel:
     """Each embedding direction minus its projection onto the 8 embedding
-    atoms (its 8 embedding subbands zeroed); other directions unchanged."""
+    atoms (its 8 embedding subbands zeroed); other directions unchanged.
+
+    coefficients, if given, is that projection: one embed_coefficients
+    array per direction, in the order of directions, so a caller that
+    already holds it does not project the model again."""
     validate_model(m)
-    out = {}
-    for name in _direction_names(directions):
-        x = m.matrix(name)
-        out[name] = add_atoms(x, -embed_coefficients(x))
-    return m.replace(**out)
+    names = _direction_names(directions)
+    if coefficients is None:
+        coefficients = [embed_coefficients(m.matrix(name)) for name in names]
+    return m.replace(**{name: add_atoms(m.matrix(name), -c) for name, c in zip(names, coefficients)})
 
 
 # ---------------------------------------------------------------------------
 # Raw block features
 
-def _block_points(ref: GridModel, rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """(B, 8, 8, 3) contiguous stack of the 8x8 blocks of ref[rows, cols],
-    row-major over block positions; the last axis is (x1, x2, x3)."""
-    pts = np.stack([ref.x1[rows, cols], ref.x2[rows, cols], ref.x3[rows, cols]], axis=-1)
-    nr, nc = pts.shape[0] // 8, pts.shape[1] // 8
-    pts = pts[: 8 * nr, : 8 * nc]
-    return pts.reshape(nr, 8, nc, 8, 3).swapaxes(1, 2).reshape(nr * nc, 8, 8, 3)
+def _block_points(ref: GridModel, rows=slice(None), cols=slice(None)):
+    """The 8x8 blocks of ref[rows, cols] as three contiguous (B, 8, 8)
+    stacks, one per coordinate (x1, x2, x3), row-major over block positions."""
+    out = []
+    for x in (ref.x1, ref.x2, ref.x3):
+        x = x[rows, cols]
+        nr, nc = x.shape[0] // 8, x.shape[1] // 8
+        x = x[: 8 * nr, : 8 * nc].reshape(nr, 8, nc, 8).swapaxes(1, 2)
+        out.append(x.reshape(nr * nc, 8, 8))
+    return tuple(out)
 
 
-def _features(pts: np.ndarray):
-    """Raw (curvature, area, bumpiness), each of shape (B,), of a (B, 8, 8, 3)
-    block stack.  Every reduction runs over one contiguous per-block row, so
-    a block's features do not depend on how many blocks share the call."""
-    count = pts.shape[0]
+def _norm3(a, b, c):
+    """Euclidean norm of the 3-vectors (a, b, c), summed as (a² + b²) + c²,
+    the order np.linalg.norm sums a last axis of length 3 in."""
+    return np.sqrt(a * a + b * b + c * c)
 
-    lap = (
-        pts[:, :-2, 1:-1]
-        + pts[:, 2:, 1:-1]
-        + pts[:, 1:-1, :-2]
-        + pts[:, 1:-1, 2:]
-        - 4.0 * pts[:, 1:-1, 1:-1]
-    )
-    curvature = np.linalg.norm(lap, axis=-1).reshape(count, 36).mean(axis=1)
 
-    # cells split along the main diagonal; half cross-product norms
-    p00 = pts[:, :-1, :-1]
-    p01 = pts[:, :-1, 1:]
-    p10 = pts[:, 1:, :-1]
-    p11 = pts[:, 1:, 1:]
-    c1 = np.cross(p10 - p00, p11 - p00)
-    c2 = np.cross(p11 - p00, p01 - p00)
-    areas = 0.5 * np.linalg.norm(c1, axis=-1) + 0.5 * np.linalg.norm(c2, axis=-1)
-    area = areas.reshape(count, 49).sum(axis=1)
+def _laplacian(x):
+    return x[:, :-2, 1:-1] + x[:, 2:, 1:-1] + x[:, 1:-1, :-2] + x[:, 1:-1, 2:] - 4.0 * x[:, 1:-1, 1:-1]
+
+
+def _cell_edges(x):
+    """Per cell, the edges from its top-left corner p00 to p10, p11 and p01."""
+    p00 = x[:, :-1, :-1]
+    return x[:, 1:, :-1] - p00, x[:, 1:, 1:] - p00, x[:, :-1, 1:] - p00
+
+
+def _features(blocks):
+    """Raw (curvature, area, bumpiness), each of shape (B,), of the three
+    (B, 8, 8) coordinate stacks of _block_points.  Every reduction runs over
+    one contiguous per-block row, so a block's features do not depend on how
+    many blocks share the call."""
+    count = len(blocks[0])
+
+    curvature = _norm3(*map(_laplacian, blocks)).reshape(count, 36).mean(axis=1)
+
+    # cells split along the main diagonal into (p00, p10, p11) and
+    # (p00, p11, p01); half the norms of the cross products of their edges
+    (a1, d1, b1), (a2, d2, b2), (a3, d3, b3) = map(_cell_edges, blocks)
+    lower = _norm3(a2 * d3 - a3 * d2, a3 * d1 - a1 * d3, a1 * d2 - a2 * d1)
+    upper = _norm3(d2 * b3 - d3 * b2, d3 * b1 - d1 * b3, d1 * b2 - d2 * b1)
+    area = (0.5 * lower + 0.5 * upper).reshape(count, 49).sum(axis=1)
 
     # RMS orthogonal distance to the best-fit plane = smallest singular
     # value of the centered points / sqrt(count).  Steep blocks make the
     # spread ratio along the principal axes enormous, so normalize before
     # the SVD and scale back; going through the squared scatter matrix
     # instead would double that ratio and lose the small end entirely.
-    flat = pts.reshape(count, 64, 3)
-    centered = flat - flat.mean(axis=1)[:, None, :]
-    spread = np.abs(centered).max(axis=(1, 2))
+    # cumsum adds a block's 64 values one after the other, as the mean of
+    # its (64, 3) points does; a row sum would pair them differently.
+    flat = (x.reshape(count, 64) for x in blocks)
+    centered = [x - (np.cumsum(x, axis=1)[:, -1] / 64.0)[:, None] for x in flat]
+    spread = functools.reduce(np.maximum, (np.abs(x).max(axis=1) for x in centered))
     point = spread == 0.0  # the block is a single point: bumpiness 0
-    sv = np.linalg.svd(centered / np.where(point, 1.0, spread)[:, None, None], compute_uv=False)
+    scale = np.where(point, 1.0, spread)[:, None]
+    sv = np.linalg.svd(np.stack([x / scale for x in centered], axis=-1), compute_uv=False)
     bumpiness = np.where(point, 0.0, spread * sv[:, -1] / math.sqrt(64))
 
     return curvature, area, bumpiness
@@ -124,8 +144,8 @@ def block_features(ref: GridModel, u: int, v: int):
     nb = ref.n // 8
     if not (0 <= u < nb and 0 <= v < nb):
         raise DimensionError(f"block ({u},{v}) out of range for side {ref.n}")
-    pts = _block_points(ref, slice(8 * u, 8 * u + 8), slice(8 * v, 8 * v + 8))
-    return tuple(float(x[0]) for x in _features(pts))
+    blocks = _block_points(ref, slice(8 * u, 8 * u + 8), slice(8 * v, 8 * v + 8))
+    return tuple(float(x[0]) for x in _features(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +182,8 @@ class WeightField:
 def raw_features(ref: GridModel) -> FeatureField:
     """Raw features of every block position, as (N/8, N/8) arrays."""
     nb = ref.n // 8
-    return FeatureField(*(x.reshape(nb, nb) for x in map_chunks(_features, _block_points(ref))))
+    fields = map_chunks(lambda *blocks: _features(blocks), *_block_points(ref))
+    return FeatureField(*(x.reshape(nb, nb) for x in fields))
 
 
 def _normalize_channel(x: np.ndarray) -> np.ndarray:

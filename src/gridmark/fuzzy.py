@@ -10,14 +10,17 @@ discretization of [0, 1].
 
 Every entry point runs one path: _term_strengths fuzzifies each input
 term once and max-folds the strengths of the rules that share a consequent
-term; _aggregate clips each term's set once, only over the grid columns
-where its membership is nonzero.  Because min and max select one of their
-operands without rounding,
+term; _aggregate fills the aggregate run by run.  FuzzyVariable.runs cuts
+the 1001 grid columns, once per variable, into maximal runs that share one
+set of nonzero terms (at most 2 of the 7 standard triangles), and each run
+is the max over its own terms of the clipped set min(s_k, mu_k).  Because
+min and max select one of their operands without rounding,
 
     max(min(s1, mu), min(s2, mu)) == min(max(s1, s2), mu)
 
-holds exactly, so the aggregate is bit-identical to clipping one set per
-rule.  evaluate_many takes every row's centroid with a row sum and a
+holds exactly, and a term that is zero in a column clips to 0 there, so
+the aggregate is bit-identical to clipping one set per rule over the whole
+grid.  evaluate_many takes every row's centroid with a row sum and a
 matrix-vector product; evaluate takes its one row's with math.fsum, which
 rounds correctly, so a symmetric aggregate has an exact centroid (0.5 for
 one rule clipped about 0.5).
@@ -148,6 +151,24 @@ class FuzzyVariable:
 
     def term_names(self):
         return tuple(t for t, _ in self.terms)
+
+    @functools.cached_property
+    def runs(self):
+        """The centroid grid over the universe, and its columns cut into
+        maximal runs that share one set of nonzero terms, in grid order:
+        (grid, ((column slice, ((term, membership over the slice), ...)), ...))."""
+        lo, hi = self.universe
+        grid = lo + (hi - lo) * _GRID
+        mu = np.stack([mf.membership(grid) for _, mf in self.terms])
+        grid.flags.writeable = mu.flags.writeable = False  # shared by every call
+        nonzero = mu != 0.0
+        starts = np.flatnonzero(np.r_[True, (nonzero[:, 1:] != nonzero[:, :-1]).any(axis=0)])
+        runs = []
+        for start, stop in zip(starts.tolist(), starts[1:].tolist() + [grid.size]):
+            cols = slice(start, stop)
+            terms = tuple((self.terms[k][0], mu[k, cols]) for k in np.flatnonzero(nonzero[:, start]))
+            runs.append((cols, terms))
+        return grid, tuple(runs)
 
     def term(self, name) -> MembershipFunction:
         key = name.upper()
@@ -412,18 +433,22 @@ def _term_strengths(sys: FuzzySystem, curvature, bumpiness, area):
 
 def _aggregate(sys: FuzzySystem, curvature, bumpiness, area):
     """The output grid and the (m, 1001) max-aggregate of the clipped
-    output sets; each term is clipped only over its nonzero grid columns."""
-    lo, hi = sys.output.universe
-    grid = lo + (hi - lo) * _GRID
-    agg = np.zeros((np.size(curvature), CENTROID_POINTS))
-    for term, s in _term_strengths(sys, curvature, bumpiness, area).items():
-        mf = sys.output.term(term).membership(grid)
-        nonzero = np.flatnonzero(mf)
-        if nonzero.size == 0:
+    output sets, filled run by run: each run of grid columns takes the max
+    of its own nonzero terms' clipped sets, and a run none of whose terms
+    fired is 0."""
+    strength = _term_strengths(sys, curvature, bumpiness, area)
+    grid, runs = sys.output.runs
+    agg = np.empty((np.size(curvature), CENTROID_POINTS))
+    for cols, terms in runs:
+        out = agg[:, cols]
+        fired = [(strength[t][:, None], mf) for t, mf in terms if t in strength]
+        if not fired:
+            out[...] = 0.0
             continue
-        cols = slice(nonzero[0], nonzero[-1] + 1)
-        support = agg[:, cols]
-        np.maximum(support, np.minimum(s[:, None], mf[cols]), out=support)
+        (s, mf), *rest = fired
+        np.minimum(s, mf, out=out)
+        for s, mf in rest:
+            np.maximum(out, np.minimum(s, mf), out=out)
     return grid, agg
 
 

@@ -4,7 +4,7 @@ import pytest
 from gridmark.attacks import load_registration
 from gridmark.cli import BENCH_BATTERY, CSV_COLUMNS, main, read_report_csv
 from gridmark.codec import EmbedConfig, save_config
-from gridmark.errors import GridmarkError
+from gridmark.errors import GridmarkError, MalformedFileError
 from gridmark.model_io import (
     WatermarkBitmap,
     generate_model,
@@ -374,6 +374,43 @@ def test_read_report_csv_rejects_foreign_header(tmp_path):
     with pytest.raises(GridmarkError):
         read_report_csv(bad)
     assert CSV_COLUMNS[0] == "attack"
+
+
+HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "no header"),
+        ("# model: model.grid3\n# n: 128\n", "no header"),
+        (HEADER + "none,,1.0,0.0\n", "expected 6 fields, got 4"),
+        (HEADER + "none,,1.0,0.0,70.0,00_none.pbm\n\n", "row 2: expected 6 fields, got 0"),
+        (HEADER + "none,,one,0.0,70.0,00_none.pbm\n", "correlation is not a number"),
+        (HEADER + "none,,1.0,,70.0,00_none.pbm\n", "ber is not a number"),
+        (HEADER + "none,,1.0,0.0,70 dB,00_none.pbm\n", "psnr_db is not a number"),
+        (HEADER + "none,," + "9" * 200_000 + ",0.0,70.0,00_none.pbm\n", "field limit"),
+    ],
+    ids=["empty", "comments-only", "short-row", "blank-row", "correlation", "ber", "psnr", "huge-field"],
+)
+def test_report_rejects_malformed_csv(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedFileError, match=message):
+        read_report_csv(bad)
+    code, _, err = run(capsys, "report", "--csv", str(bad), "--out", str(tmp_path / "bad.md"))
+    assert code == 2
+    assert err.startswith("MalformedFileError")
+    assert not (tmp_path / "bad.md").exists()
+
+
+def test_report_keeps_nan_correlation(bench_dir, tmp_path, capsys):
+    text = (bench_dir / "report.csv").read_text(encoding="utf-8")
+    nan_row = tmp_path / "nan.csv"
+    nan_row.write_text(text.replace("none,,1.0,", "none,,nan,", 1), encoding="utf-8")
+    code, _, _ = run(capsys, "report", "--csv", str(nan_row), "--out", str(tmp_path / "nan.md"))
+    assert code == 0
+    assert "| none |  | nan | 0.000000 |" in (tmp_path / "nan.md").read_text(encoding="utf-8")
 
 
 def test_report_reads_and_writes_utf8(bench_dir, tmp_path, capsys):

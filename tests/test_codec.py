@@ -102,6 +102,53 @@ def test_quantize_read_property(c, bit, q):
     assert abs(out - c) <= q + 1e-12
 
 
+# The candidate-stack form quantize_embed_bit replaced, kept as an exact
+# reference: argmin over (base, base - q, base + q) takes the first minimum.
+
+def quantize_by_argmin(c, bit, cfg):
+    c = np.asarray(c, dtype=float)
+    r = np.mod(c, cfg.q)
+    base = c - r + np.where(np.asarray(bit) == 1, cfg.r1, cfg.r0)
+    cands = np.stack([base, base - cfg.q, base + cfg.q])
+    pick = np.argmin(np.abs(cands - c), axis=0)
+    return np.take_along_axis(cands, pick[None, ...], axis=0)[0]
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0**-8, 0.01, 0.005, 0.123])
+def test_quantize_equals_argmin_over_candidates(q):
+    cfg = EmbedConfig(q=q)
+    rng = np.random.default_rng(9)
+    k = rng.integers(-4000, 4000, size=2000).astype(float)
+    # remainders a quarter and three quarters of a step: halfway between two
+    # candidates for one of the bits, exactly so where q is a power of two
+    edges = np.concatenate([(k + 0.25) * q, (k + 0.75) * q])
+    c = np.concatenate(
+        [
+            rng.normal(scale=50 * q, size=4000),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            k * q,
+            [0.0, -0.0, 1e20, -1e20],  # at 1e20, q is below an ulp: the candidates all tie
+        ]
+    )
+    for bits in (np.zeros(c.shape, int), np.ones(c.shape, int), rng.integers(0, 2, c.shape)):
+        got, want = quantize_embed_bit(c, bits, cfg), quantize_by_argmin(c, bits, cfg)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for x in c[::97]:
+        for bit in (0, 1):
+            got = quantize_embed_bit(float(x), bit, cfg)
+            assert type(got) is float
+            assert got.hex() == float(quantize_by_argmin(x, bit, cfg)).hex()
+
+
+def test_quantize_ties_keep_the_middle_candidate():
+    cfg = EmbedConfig(q=0.5)
+    # bit 1 at remainder q/4: base and base - q tie; bit 0 at 3q/4: base and base + q
+    assert quantize_embed_bit(np.array([0.125, -0.375]), 1, cfg).tolist() == [0.375, -0.125]
+    assert quantize_embed_bit(np.array([0.375, -0.125]), 0, cfg).tolist() == [0.125, -0.375]
+
+
 # ---------------------------------------------------------------------------
 # Slot map
 
@@ -284,6 +331,41 @@ def test_embed_extract_match_tree_walk(kind, desk_models, desk_marked, wm32, def
     got = extract(noisy, 32, default_cfg)
     assert ber(wm32, got) > 0.0
     assert np.array_equal(got.bits, _tree_extract(noisy, 32, default_cfg).bits)
+
+
+# The codec before one projection fed both the reference surface and the
+# slots: reference_surface projected each direction, then embed and extract
+# projected it again.
+
+def _embed_projecting_twice(m, wm, cfg):
+    ref = reference_surface(m, cfg.directions)
+    s = normalization_scale(ref)
+    alpha = ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(ref, cfg.system()).weight
+    sbits = scramble(wm.bits, cfg.key).ravel()
+    smap = SlotMap(m.n, wm.w, cfg.directions)
+    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
+    delta = alpha * (quantize_embed_bit(c / s, sbits[smap.bit], cfg) * s - c)
+    return m.replace(**{name: add_atoms(m.matrix(name), delta[di]) for di, name in enumerate(cfg.directions)})
+
+
+def _extract_projecting_twice(m, w, cfg):
+    s = normalization_scale(reference_surface(m, cfg.directions))
+    idx = SlotMap(m.n, w, cfg.directions).bit.ravel()
+    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
+    twice_ones = 2 * np.bincount(idx, weights=read_bit(c / s, cfg).ravel(), minlength=w * w)
+    total = np.bincount(idx, minlength=w * w)
+    bits = np.where(twice_ones == total, np.arange(w * w) % 2, twice_ones > total).astype(np.uint8)
+    return WatermarkBitmap(unscramble(bits.reshape(w, w), cfg.key))
+
+
+@pytest.mark.parametrize("kind", ["bumps", "harmonic", "meshgrid"])
+def test_one_projection_equals_two(kind, desk_models, desk_marked, wm32, default_cfg):
+    want = _embed_projecting_twice(desk_models[kind], wm32, default_cfg)
+    for name in ("x1", "x2", "x3"):
+        assert np.array_equal(desk_marked[kind].matrix(name), want.matrix(name)), name
+    noisy, _ = apply(desk_marked[kind], parse_attack("randomnoise:a=0.5,seed=103"))
+    for model in (desk_marked[kind], noisy):
+        assert np.array_equal(extract(model, 32, default_cfg).bits, _extract_projecting_twice(model, 32, default_cfg).bits)
 
 
 # The codec before the weight set the step: only HIGH/HIGHER blocks carry

@@ -568,6 +568,84 @@ def test_evaluate_many_equals_rule_by_rule_on_default_base(system):
 
 
 # ---------------------------------------------------------------------------
+# The run table _aggregate fills the aggregate by
+
+def check_run_table(var):
+    grid, runs = var.runs
+    lo, hi = var.universe
+    assert np.array_equal(grid, lo + (hi - lo) * (np.arange(CENTROID_POINTS) / (CENTROID_POINTS - 1.0)))
+    mu = {t: mf.membership(grid) for t, mf in var.terms}
+    covered = np.zeros(grid.size, dtype=int)
+    previous = None
+    for cols, terms in runs:
+        assert cols.start < cols.stop and cols.step is None
+        covered[cols] += 1
+        names = tuple(t for t, _ in terms)
+        assert names == tuple(t for t in var.term_names() if t in names)  # declaration order
+        for j in range(cols.start, cols.stop):
+            assert set(names) == {t for t in mu if mu[t][j] != 0.0}, j
+        for t, m in terms:
+            assert np.array_equal(m, mu[t][cols])
+        assert set(names) != previous  # maximal: neighbouring runs differ
+        previous = set(names)
+    assert (covered == 1).all()  # every column lies in exactly one run
+    assert [cols.start for cols, _ in runs] == sorted(cols.start for cols, _ in runs)
+    return runs
+
+
+def test_run_table_of_the_default_output(variables):
+    _, output = variables
+    runs = check_run_table(output)
+    assert max(len(terms) for _, terms in runs) == 2
+    # the peaks at 0, 1/2 and 1 fall on grid columns, where one term is nonzero
+    assert [cols for cols, terms in runs if len(terms) == 1] == [slice(0, 1), slice(500, 501), slice(1000, 1001)]
+    assert output.runs is output.runs  # derived once per variable
+
+
+# Overlapping output terms: up to four are nonzero in one column, and TOP,
+# which no rule below concludes on, is alone at the right end of the grid.
+OVERLAP_OUTPUT = FuzzyVariable(
+    "weight",
+    (0.0, 1.0),
+    (
+        ("EDGE", trapezoidal(0.0, 0.0, 0.05, 0.45)),
+        ("A", triangular(0.0, 0.3, 0.7)),
+        ("B", triangular(0.2, 0.5, 0.8)),
+        ("C", triangular(0.4, 0.6, 1.0)),
+        ("TOP", triangular(0.55, 1.0, 1.0)),
+    ),
+)
+
+
+def test_run_table_of_overlapping_terms():
+    runs = check_run_table(OVERLAP_OUTPUT)
+    assert max(len(terms) for _, terms in runs) == 4
+    assert runs[-1][0] == slice(1000, 1001) and [t for t, _ in runs[-1][1]] == ["TOP"]
+
+
+def test_evaluate_many_equals_rule_by_rule_with_overlapping_terms(variables):
+    inputs, _ = variables
+    rng = np.random.default_rng(48)
+    rules = [
+        Rule((("curvature", t),), ("weight", out), 1.0)
+        for t, out in (("LOW", "EDGE"), ("MEDIUM", "B"), ("HIGH", "C"))
+    ]
+    for _ in range(12):
+        ants = {(str(v), str(rng.choice(["LOW", "MEDIUM", "HIGH"]))) for v in rng.choice(INPUT_NAMES, 2)}
+        out = str(rng.choice(["EDGE", "A", "B", "C"]))
+        rules.append(Rule(tuple(sorted(ants)), ("weight", out), float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))))
+    sys = FuzzySystem(inputs, OVERLAP_OUTPUT, tuple(rules))
+    x = rng.uniform(-0.1, 1.1, size=(3, 3000))
+    edges = np.array([0.0, 0.5, 1.0])
+    x[:, :27] = [g.ravel() for g in np.meshgrid(edges, edges, edges, indexing="ij")]
+    agg, grid = aggregate_by_rule(sys, *x)
+    assert np.array_equal(_aggregate(sys, *x)[1], agg)
+    assert np.array_equal(evaluate_many(sys, *x), (agg @ grid) / agg.sum(axis=1))
+    for triple in x[:, :40].T:
+        assert evaluate(sys, *triple).hex() == evaluate_by_rule(sys, *triple).hex()
+
+
+# ---------------------------------------------------------------------------
 # Weight classes
 
 def test_weight_class_pins(system):

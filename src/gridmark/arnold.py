@@ -3,7 +3,11 @@
 One step sends the entry at (P, Q) to (P + Q mod N, P + 2Q mod N); the
 transform matrix [[1, 1], [1, 2]] has determinant 1 mod N, so every step
 is a permutation and the inverse matrix [[2, -1], [-1, 1]] undoes it.
+The map's period on an N x N grid is at most 3N (Dyson & Falk 1992), so
+a key above 3N takes only key mod period steps, with the same result.
 """
+
+import functools
 
 import numpy as np
 
@@ -23,11 +27,17 @@ def _check_key(key):
     return int(key)
 
 
+def _steps(key, n):
+    """Steps equivalent to `key` on an n x n grid: key itself up to 3n."""
+    return key if key <= 3 * n else key % _period(n)
+
+
 def scramble(bitmap, key):
     """Apply `key` forward cat-map steps."""
     m = _check(bitmap)
     key = _check_key(key)
     n = m.shape[0]
+    key = _steps(key, n)
     if n == 1 or key == 0:
         return m.copy()
     P, Q = np.indices((n, n))
@@ -44,6 +54,7 @@ def unscramble(bitmap, key):
     m = _check(bitmap)
     key = _check_key(key)
     n = m.shape[0]
+    key = _steps(key, n)
     if n == 1 or key == 0:
         return m.copy()
     P, Q = np.indices((n, n))
@@ -59,8 +70,12 @@ def period(n):
     """Smallest t >= 1 with scramble^t = identity on an n x n grid."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise BadParameterError(f"side must be a positive integer, got {n!r}")
-    n = int(n)
-    if n == 1:
+    return _period(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _period(n):
+    if n <= 1:
         return 1
     ident = np.arange(n * n).reshape(n, n)
     cur = scramble(ident, 1)

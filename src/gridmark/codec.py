@@ -26,6 +26,7 @@ HIGHER blocks carried payload) do not decode under this extractor.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -237,10 +238,61 @@ def read_bit(c, cfg: EmbedConfig):
 # ---------------------------------------------------------------------------
 # Normalization scale
 
+# The quantiles of np.percentile(x, [1, 99]), computed as it computes them.
+_PERCENTILE_Q = np.true_divide([1.0, 99.0], 100)
+# Size of the strided sample that bounds the two tails.
+_TAIL_SAMPLE = 4096
+
+
+def _p1_p99(x):
+    """np.percentile(x, [1, 99]) (linear method), bit for bit, from the
+    two tails of x; see normalization_scale."""
+    flat = x.reshape(-1)
+    n = flat.size
+    virtual = (n - 1) * _PERCENTILE_Q
+    below = np.floor(virtual)
+    gamma = virtual - below
+    k = below.astype(np.intp)
+    ranks = np.minimum(np.concatenate([k, k + 1]), n - 1)  # lo, hi, lo + 1, hi + 1
+    stride = max(1, n // _TAIL_SAMPLE)
+    while math.gcd(stride, x.shape[-1]) != 1:  # sample every column
+        stride += 1
+    sample = flat[::stride]
+    j = sample.size // 50  # bounds at 2% and 98% of the sample
+    tlo, thi = np.partition(sample, [j, sample.size - 1 - j])[[j, sample.size - 1 - j]]
+    cand = flat
+    if tlo < thi:
+        kept = flat[(flat <= tlo) | (flat >= thi)]
+        n_lo = np.count_nonzero(kept <= tlo)
+        if n_lo >= k[0] + 2 and kept.size - n_lo >= n - k[1]:
+            cand = kept
+            ranks[[1, 3]] -= n - kept.size
+    v = np.partition(cand, ranks)[ranks]
+    a, b = v[:2], v[2:]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def normalization_scale(ref: GridModel) -> float:
     """Euclidean norm of the robust (p99 - p1) per-coordinate ranges of the
-    reference surface; positively homogeneous and translation-invariant."""
-    lo, hi = np.percentile(np.stack([ref.x1, ref.x2, ref.x3]), [1.0, 99.0], axis=(1, 2))
+    reference surface; positively homogeneous and translation-invariant.
+
+    p1 and p99 are np.percentile's: for N values and q = 0.01 or 0.99,
+    the order statistics at ranks r = floor((N-1)q) and r + 1, mixed by
+    the fraction g = (N-1)q - r as a + (b-a)g, or b - (b-a)(1-g) when
+    g >= 0.5.  The four order statistics of a coordinate come from its
+    tails alone (sample-based selection, Floyd & Rivest 1975): bounds
+    tlo and thi at 2% and 98% of a strided sample of about 4096 values,
+    one pass keeping the values <= tlo or >= thi.  If at least r_lo + 2
+    values are <= tlo, the smallest r_lo + 2 values of the matrix are
+    the smallest of the kept set; if at least N - r_hi values are >= thi,
+    its largest N - r_hi are the largest of the kept set, at ranks
+    N - size lower.  Checked by those two counts, partitioning the kept
+    set gives the same order statistics as partitioning all N values;
+    where a count fails (ties, plateaus, a sample that missed a tail)
+    or tlo >= thi, all N values are partitioned.  Either way the scale
+    has the bits of np.percentile over the whole surface."""
+    lo, hi = np.array([_p1_p99(x) for x in (ref.x1, ref.x2, ref.x3)]).T
     s = float(np.linalg.norm(hi - lo))
     if s == 0.0:
         raise DegenerateModelError("model has zero robust extent; cannot normalize")

@@ -327,6 +327,8 @@ def generate_model(kind, n, seed=0) -> GridModel:
         raise BadParameterError(f"unknown model kind {kind!r}")
     if n < 8 or n % 8 != 0:
         raise DimensionError(f"grid side must be a positive multiple of 8, got {n}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadParameterError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(
         np.random.SeedSequence([0x67726964, MODEL_KINDS.index(kind), int(seed)])
     )

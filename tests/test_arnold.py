@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,27 @@ def test_period_is_minimal(n):
     assert np.array_equal(scramble(m, t), m)
     for k in range(1, t):
         assert not np.array_equal(scramble(m, k), m)
+
+
+def test_large_key_steps_key_mod_period():
+    # a key above 3n takes key mod period steps: 10**18 steps would never end
+    m = bits(32, seed=4)
+    key = 10**18
+    t0 = time.perf_counter()
+    out = scramble(m, key)
+    back = unscramble(out, key)
+    assert time.perf_counter() - t0 < 0.5
+    assert np.array_equal(out, scramble(m, key % period(32)))
+    assert np.array_equal(back, m)
+    # keys up to 3n step as given; past it the period folds them
+    for key in (3 * 32, 3 * 32 + 1, 5 * period(32), 10**12):
+        assert np.array_equal(scramble(m, key), scramble(m, key % period(32)))
+        assert np.array_equal(unscramble(m, key), unscramble(m, key % period(32)))
+
+
+def test_period_at_most_three_sides():
+    for n in range(1, 41):
+        assert period(n) <= 3 * n
 
 
 def test_scramble_composes():

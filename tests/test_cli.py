@@ -81,6 +81,14 @@ def test_gen_usage_errors(tmp_path, capsys):
     )
     assert code == 2
     assert "DimensionError" in err
+    # numpy's SeedSequence refuses a negative seed with a ValueError
+    code, _, err = run(
+        capsys, "gen", "--kind", "bumps", "--n", "16", "--seed", "-1",
+        "--out", str(tmp_path / "m"),
+    )
+    assert code == 2
+    assert "BadParameterError" in err
+    assert not (tmp_path / "m").exists()
 
 
 def test_no_command_is_usage_error(capsys):

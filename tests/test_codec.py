@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmark import EmbedConfig, embed, extract, generate_model
-from gridmark.arnold import scramble, unscramble
+from gridmark.arnold import period, scramble, unscramble
+from gridmark.cli import BENCH_BATTERY
 from gridmark.codec import (
     ALPHA_MIN,
     SlotMap,
+    _p1_p99,
     config_hash,
     load_config,
     normalization_scale,
@@ -34,7 +36,7 @@ from gridmark.wavelet import (
     embed_coefficients,
     reconstruct3,
 )
-from gridmark.attacks import apply, parse_attack, scale, translate
+from gridmark.attacks import apply, apply_registration, parse_attack, scale, translate
 
 CFG01 = EmbedConfig(q=0.01)
 
@@ -239,6 +241,16 @@ def test_roundtrip_all_kinds(kind, seed, wm16, default_cfg):
     m = generate_model(kind, 128, seed)
     got = extract(embed(m, wm16, default_cfg), 16, default_cfg)
     assert np.array_equal(got.bits, wm16.bits)
+
+
+def test_roundtrip_huge_key(small_model, wm16):
+    # a key far past the scramble period decodes like key mod period
+    cfg = EmbedConfig(key=10**12)
+    marked = embed(small_model, wm16, cfg)
+    got = extract(marked, 16, cfg)
+    assert ber(wm16, got) == 0.0
+    folded = embed(small_model, wm16, EmbedConfig(key=10**12 % period(16)))
+    assert np.array_equal(marked.x1, folded.x1) and np.array_equal(marked.x2, folded.x2)
 
 
 def test_embed_leaves_x3_and_input_alone(small_model, wm16, default_cfg):
@@ -611,7 +623,145 @@ def test_normalization_scale_translation_invariant(small_model, default_cfg):
     assert abs(s2 - s) <= 1e-9 * s
 
 
+def _percentile_scale(ref):
+    """The scale as np.percentile gives it over the stacked surface: the
+    exact reference for normalization_scale."""
+    lo, hi = np.percentile(np.stack([ref.x1, ref.x2, ref.x3]), [1.0, 99.0], axis=(1, 2))
+    s = float(np.linalg.norm(hi - lo))
+    if s == 0.0:
+        raise DegenerateModelError("model has zero robust extent; cannot normalize")
+    return s
+
+
 def test_normalization_scale_degenerate():
     flat = GridModel(*(np.full((8, 8), 3.0) for _ in range(3)))
     with pytest.raises(DegenerateModelError):
         normalization_scale(reference_surface(flat, EmbedConfig()))
+    # constant coordinates, signed zeros among them, on both paths
+    ref = GridModel(*(np.full((64, 64), v) for v in (-0.0, 0.0, 1e300)))
+    for scale_of in (normalization_scale, _percentile_scale):
+        with pytest.raises(DegenerateModelError):
+            scale_of(ref)
+
+
+def _spy_partitions(monkeypatch):
+    """Record the size of every array np.partition sees."""
+    sizes = []
+    partition = np.partition
+
+    def spy(a, kth, *args, **kwargs):
+        sizes.append(np.size(a))
+        return partition(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    return sizes
+
+
+MATRIX_KINDS = ("normal", "integers", "signed_zeros", "constant")
+
+
+def _matrix(kind, n, seed, plateau, outliers):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, n))
+    elif kind == "integers":  # heavy ties
+        x = rng.integers(-3, 4, size=(n, n)).astype(float)
+    elif kind == "signed_zeros":
+        x = rng.choice([-0.0, 0.0, 0.0, 1.0, -2.5], size=(n, n))
+    else:
+        return np.full((n, n), rng.normal())
+    if plateau:  # the lowest 3% and the highest 2% flattened onto one value each
+        order = np.argsort(x, axis=None)
+        k = max(1, 3 * x.size // 100)
+        x.flat[order[:k]] = x.flat[order[k]]
+        x.flat[order[-k * 2 // 3:]] = x.flat[order[-k]]
+    idx = rng.choice(x.size, size=min(outliers, x.size), replace=False)
+    x.flat[idx] = rng.choice([-1e300, 1e300], size=idx.size)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(8, 128),
+    kinds=st.lists(st.sampled_from(MATRIX_KINDS), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    plateau=st.booleans(),
+    outliers=st.sampled_from([0, 1, 5, 60, 400]),
+)
+def test_normalization_scale_equals_percentile(n, kinds, seed, plateau, outliers):
+    ref = GridModel(*(_matrix(k, n, seed + i, plateau, outliers) for i, k in enumerate(kinds)))
+    for x in (ref.x1, ref.x2, ref.x3):
+        assert np.array_equal(_p1_p99(x), np.percentile(x, [1.0, 99.0]))
+    with np.errstate(over="ignore"):  # two 1e300 ranges overflow the norm to inf
+        try:
+            want = _percentile_scale(ref)
+        except DegenerateModelError:
+            with pytest.raises(DegenerateModelError):
+                normalization_scale(ref)
+        else:
+            assert normalization_scale(ref) == want
+
+
+def test_p1_p99_half_fraction_takes_the_upper_form():
+    # 351 values: (N-1) * 0.01 = 3.5, so g = 0.5 and np.percentile reads
+    # b - (b-a)/2, which differs from a + (b-a)/2 for a=0.1, b=0.7
+    x = np.arange(351.0) - 3.0
+    x[3], x[4] = 0.1, 0.7
+    x = np.random.default_rng(0).permutation(x).reshape(9, 39)
+    got = _p1_p99(x)
+    assert np.array_equal(got, np.percentile(x, [1.0, 99.0]))
+    assert got[0] == 0.7 - (0.7 - 0.1) * 0.5 != 0.1 + (0.7 - 0.1) * 0.5
+
+
+# 128 x 128 = 16384 values are sampled at stride 5 (16384 // 4096 = 4,
+# raised to the next side-coprime stride): positions i with i % 5 == 0.
+ON_STRIDE = np.arange(128 * 128) % 5 == 0
+
+
+def test_tails_off_the_sample_stride_fall_back(monkeypatch):
+    # every sampled value is 0, so tlo == thi and the whole matrix is
+    # partitioned; the extremes sit only between sampled positions
+    x = np.zeros(128 * 128)
+    off = np.flatnonzero(~ON_STRIDE)
+    rng = np.random.default_rng(3)
+    x[rng.choice(off, 500, replace=False)] = rng.normal(size=500) * 1e3
+    x = x.reshape(128, 128)
+    sizes = _spy_partitions(monkeypatch)
+    got = _p1_p99(x)
+    assert x.size in sizes
+    assert np.array_equal(got, np.percentile(x, [1.0, 99.0]))
+
+
+def test_sample_overweighting_a_tail_fails_the_count(monkeypatch):
+    # sampled positions reach down to 0, the rest stay above 0.5: the 2%
+    # bound of the sample holds fewer than the p1 rank + 2 values
+    rng = np.random.default_rng(4)
+    x = np.where(ON_STRIDE, rng.uniform(0.0, 1.0, ON_STRIDE.size), rng.uniform(0.5, 1.0, ON_STRIDE.size))
+    x = x.reshape(128, 128)
+    sizes = _spy_partitions(monkeypatch)
+    got = _p1_p99(x)
+    assert x.size in sizes
+    assert np.array_equal(got, np.percentile(x, [1.0, 99.0]))
+
+
+def test_normalization_scale_exact_on_desk_surfaces(desk_models, desk_marked, wm32, default_cfg, monkeypatch):
+    # the desk models at n=256 and 512: clean, marked and after every
+    # benchmark battery attack, as gridmark bench extracts them
+    pairs = [(desk_models[k], desk_marked[k]) for k in desk_models]
+    for kind in desk_models:
+        m = generate_model(kind, 512, 0)
+        pairs.append((m, embed(m, wm32, default_cfg)))
+    sizes = _spy_partitions(monkeypatch)
+    for clean, marked in pairs:
+        models = [clean, marked]
+        for spec in BENCH_BATTERY:
+            attacked, reg = apply(marked, parse_attack(spec))
+            models.append(attacked if reg is None else apply_registration(attacked, reg))
+        for m in models:
+            ref = reference_surface(m, default_cfg.directions)
+            sizes.clear()
+            assert normalization_scale(ref) == _percentile_scale(ref)
+            # the tails alone were partitioned, never a whole matrix
+            assert max(sizes) < m.n**2 // 4
+            for x in (ref.x1, ref.x2, ref.x3):
+                assert np.array_equal(_p1_p99(x), np.percentile(x, [1.0, 99.0]))

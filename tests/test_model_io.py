@@ -409,6 +409,9 @@ def test_generate_model_validation():
         generate_model("bumps", 100)
     with pytest.raises(DimensionError):
         generate_model("bumps", 0)
+    for seed in (-1, 2.5, "3"):
+        with pytest.raises(BadParameterError):
+            generate_model("bumps", 16, seed)
     assert MODEL_KINDS == ("plane", "harmonic", "meshgrid", "bumps")
 
 

@@ -59,7 +59,6 @@ from .errors import (
 from .features import (
     FeatureField,
     WeightField,
-    block_features,
     compute_weights,
     normalize_features,
     raw_features,

@@ -1,17 +1,21 @@
 """Arnold cat-map scrambling of square bitmaps.
 
-One step sends the entry at (P, Q) to (P + Q mod N, P + 2Q mod N); the
-transform matrix [[1, 1], [1, 2]] has determinant 1 mod N, so every step
-is a permutation and the inverse matrix [[2, -1], [-1, 1]] undoes it.
-The map's period on an N x N grid is at most 3N (Dyson & Falk 1992), so
-a key above 3N takes only key mod period steps, with the same result.
+One step sends the entry at (P, Q) to A (P, Q) mod N, that is to
+(P + Q mod N, P + 2Q mod N), with A = [[1, 1], [1, 2]].  A has
+determinant 1, so every step is a permutation, and `key` steps are the one
+linear map A^key mod N.  Its inverse A^-key is the power of
+[[2, -1], [-1, 1]], found by repeated squaring in O(log key) 2x2 integer
+products, so scramble and unscramble cost one index permutation of the
+bitmap for any key, with the same result as stepping key times.
 """
-
-import functools
 
 import numpy as np
 
 from .errors import BadParameterError, NotSquareError
+
+_FORWARD = ((1, 1), (1, 2))
+_INVERSE = ((2, -1), (-1, 1))
+_IDENTITY = ((1, 0), (0, 1))
 
 
 def _check(bitmap):
@@ -27,60 +31,49 @@ def _check_key(key):
     return int(key)
 
 
-def _steps(key, n):
-    """Steps equivalent to `key` on an n x n grid: key itself up to 3n."""
-    return key if key <= 3 * n else key % _period(n)
+def _mul(a, b, n):
+    """The 2x2 product a b mod n, in Python ints."""
+    return tuple(tuple((a[i][0] * b[0][j] + a[i][1] * b[1][j]) % n for j in range(2)) for i in range(2))
+
+
+def _source(n, key):
+    """Flat index into an n x n bitmap of the entry that `key` forward steps
+    bring to each position: A^-key (P, Q) mod n, row-major."""
+    mod = max(n, 1)  # a 0 x 0 bitmap has nothing to permute
+    power, base = _IDENTITY, _INVERSE
+    while key:
+        if key & 1:
+            power = _mul(power, base, mod)
+        base = _mul(base, base, mod)
+        key >>= 1
+    (a, b), (c, d) = power
+    P, Q = np.indices((n, n))
+    return (((a * P + b * Q) % n) * n + (c * P + d * Q) % n).ravel()
 
 
 def scramble(bitmap, key):
     """Apply `key` forward cat-map steps."""
     m = _check(bitmap)
-    key = _check_key(key)
-    n = m.shape[0]
-    key = _steps(key, n)
-    if n == 1 or key == 0:
-        return m.copy()
-    P, Q = np.indices((n, n))
-    out = m
-    for _ in range(key):
-        nxt = np.empty_like(out)
-        nxt[(P + Q) % n, (P + 2 * Q) % n] = out[P, Q]
-        out = nxt
-    return out
+    return m.ravel()[_source(m.shape[0], _check_key(key))].reshape(m.shape)
 
 
 def unscramble(bitmap, key):
     """Apply `key` inverse cat-map steps; unscramble(scramble(m, k), k) == m."""
     m = _check(bitmap)
-    key = _check_key(key)
-    n = m.shape[0]
-    key = _steps(key, n)
-    if n == 1 or key == 0:
-        return m.copy()
-    P, Q = np.indices((n, n))
-    out = m
-    for _ in range(key):
-        nxt = np.empty_like(out)
-        nxt[(2 * P - Q) % n, (Q - P) % n] = out[P, Q]
-        out = nxt
-    return out
+    out = np.empty(m.size, m.dtype)
+    out[_source(m.shape[0], _check_key(key))] = m.ravel()
+    return out.reshape(m.shape)
 
 
 def period(n):
-    """Smallest t >= 1 with scramble^t = identity on an n x n grid."""
+    """Smallest t >= 1 with scramble^t = identity on an n x n grid: the
+    order of A mod n, at most 3n (Dyson & Falk, "Period of a discrete cat
+    mapping", Amer. Math. Monthly 1992), so at most 3n 2x2 products."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise BadParameterError(f"side must be a positive integer, got {n!r}")
-    return _period(int(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _period(n):
-    if n <= 1:
-        return 1
-    ident = np.arange(n * n).reshape(n, n)
-    cur = scramble(ident, 1)
-    t = 1
-    while not np.array_equal(cur, ident):
-        cur = scramble(cur, 1)
-        t += 1
+    n = int(n)
+    one = _mul(_IDENTITY, _IDENTITY, n)  # the identity mod n
+    cur, t = _mul(_FORWARD, one, n), 1
+    while cur != one:
+        cur, t = _mul(cur, _FORWARD, n), t + 1
     return t

@@ -291,11 +291,16 @@ def normalization_scale(ref: GridModel) -> float:
     set gives the same order statistics as partitioning all N values;
     where a count fails (ties, plateaus, a sample that missed a tail)
     or tlo >= thi, all N values are partitioned.  Either way the scale
-    has the bits of np.percentile over the whole surface."""
+    has the bits of np.percentile over the whole surface.
+
+    A scale of 0 (a flat surface) or one that overflows to inf (ranges
+    past ~1e154) raises DegenerateModelError: dividing by it would read
+    every coefficient as 0."""
     lo, hi = np.array([_p1_p99(x) for x in (ref.x1, ref.x2, ref.x3)]).T
-    s = float(np.linalg.norm(hi - lo))
-    if s == 0.0:
-        raise DegenerateModelError("model has zero robust extent; cannot normalize")
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        s = float(np.linalg.norm(hi - lo))
+    if s == 0.0 or not math.isfinite(s):
+        raise DegenerateModelError(f"model has robust extent {s}; cannot normalize")
     return s
 
 

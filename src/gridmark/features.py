@@ -26,8 +26,8 @@ runs them across the usable CPUs.  Each reduction runs over one
 contiguous per-block row (36 Laplacian norms, 49 cell areas, 64 points)
 in the order a block-by-block loop sums it, so the features are
 bit-identical to that loop's, and a block's features do not depend on
-whether it is evaluated alone (block_features), in a chunk or with the
-rest of the surface, nor on the thread count.
+whether it is evaluated alone, in a chunk or with the rest of the
+surface, nor on the thread count.
 
 Raw features are normalized per channel to [0,1] by a robust percentile
 map; the fuzzy system turns them into a crisp weight, which sets the
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chunks import map_chunks
-from .errors import DimensionError
 from .fuzzy import FuzzySystem, OUTPUT_TERMS, evaluate_many, weight_class_many
 from .model_io import GridModel, validate_model
 from .wavelet import add_atoms, embed_coefficients
@@ -54,35 +53,28 @@ ELIGIBLE_TERMS = ("HIGH", "HIGHER")
 _ELIGIBLE_INDICES = tuple(OUTPUT_TERMS.index(t) for t in ELIGIBLE_TERMS)
 
 
-def _direction_names(directions):
-    if hasattr(directions, "directions"):
-        directions = directions.directions
-    return tuple(directions)
-
-
 def reference_surface(m: GridModel, directions, coefficients=None) -> GridModel:
-    """Each embedding direction minus its projection onto the 8 embedding
+    """Each embedding direction, named in directions (as in
+    EmbedConfig.directions), minus its projection onto the 8 embedding
     atoms (its 8 embedding subbands zeroed); other directions unchanged.
 
     coefficients, if given, is that projection: one embed_coefficients
     array per direction, in the order of directions, so a caller that
     already holds it does not project the model again."""
     validate_model(m)
-    names = _direction_names(directions)
     if coefficients is None:
-        coefficients = [embed_coefficients(m.matrix(name)) for name in names]
-    return m.replace(**{name: add_atoms(m.matrix(name), -c) for name, c in zip(names, coefficients)})
+        coefficients = [embed_coefficients(m.matrix(name)) for name in directions]
+    return m.replace(**{name: add_atoms(m.matrix(name), -c) for name, c in zip(directions, coefficients)})
 
 
 # ---------------------------------------------------------------------------
 # Raw block features
 
-def _block_points(ref: GridModel, rows=slice(None), cols=slice(None)):
-    """The 8x8 blocks of ref[rows, cols] as three contiguous (B, 8, 8)
-    stacks, one per coordinate (x1, x2, x3), row-major over block positions."""
+def _block_points(ref: GridModel):
+    """The 8x8 blocks of ref as three contiguous (B, 8, 8) stacks, one per
+    coordinate (x1, x2, x3), row-major over block positions."""
     out = []
     for x in (ref.x1, ref.x2, ref.x3):
-        x = x[rows, cols]
         nr, nc = x.shape[0] // 8, x.shape[1] // 8
         x = x[: 8 * nr, : 8 * nc].reshape(nr, 8, nc, 8).swapaxes(1, 2)
         out.append(x.reshape(nr * nc, 8, 8))
@@ -137,15 +129,6 @@ def _features(blocks):
     bumpiness = np.where(point, 0.0, spread * sv[:, -1] / math.sqrt(64))
 
     return curvature, area, bumpiness
-
-
-def block_features(ref: GridModel, u: int, v: int):
-    """Raw (curvature, area, bumpiness) of spatial block (u, v)."""
-    nb = ref.n // 8
-    if not (0 <= u < nb and 0 <= v < nb):
-        raise DimensionError(f"block ({u},{v}) out of range for side {ref.n}")
-    blocks = _block_points(ref, slice(8 * u, 8 * u + 8), slice(8 * v, 8 * v + 8))
-    return tuple(float(x[0]) for x in _features(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -119,3 +119,72 @@ def test_parameter_validation():
 def test_roundtrip_property(n, key, seed):
     m = np.random.default_rng(seed).integers(0, 2, size=(n, n), dtype=np.uint8)
     assert np.array_equal(unscramble(scramble(m, key), key), m)
+
+
+# ---------------------------------------------------------------------------
+# The step loop the closed-form permutation replaced, kept as the exact
+# reference: one cat-map step at a time, forward and inverse.
+
+def step_forward(m):
+    n = m.shape[0]
+    P, Q = np.indices((n, n))
+    out = np.empty_like(m)
+    out[(P + Q) % n, (P + 2 * Q) % n] = m[P, Q]
+    return out
+
+
+def step_inverse(m):
+    n = m.shape[0]
+    P, Q = np.indices((n, n))
+    out = np.empty_like(m)
+    out[(2 * P - Q) % n, (Q - P) % n] = m[P, Q]
+    return out
+
+
+def walk(m, step, keys):
+    """step applied 0, 1, ..., keys - 1 times to m."""
+    out = [m]
+    for _ in range(keys - 1):
+        out.append(step(out[-1]))
+    return out
+
+
+def brute_period(n):
+    """Steps until an index grid first comes back to itself."""
+    ident = np.arange(n * n).reshape(n, n)
+    cur, t = step_forward(ident), 1
+    while not np.array_equal(cur, ident):
+        cur, t = step_forward(cur), t + 1
+    return t
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_permutation_equals_step_loop(n):
+    # an index grid, so equal outputs mean equal permutations
+    m = np.arange(n * n, dtype=np.int64).reshape(n, n)
+    keys = list(range(3 * n + 3))
+    t = brute_period(n)
+    assert period(n) == t
+    for fn, step in ((scramble, step_forward), (unscramble, step_inverse)):
+        want = walk(m, step, len(keys))
+        for key in keys + [10**12, 10**18]:
+            got = fn(m, key)
+            assert got.dtype == m.dtype
+            assert np.array_equal(got, want[key % t]), (fn.__name__, key)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+def test_fortran_order_view_and_dtypes(dtype):
+    n = 24
+    base = (np.random.default_rng(2).normal(size=(n, n)) * 100).astype(dtype)
+    m = base.T
+    assert not m.flags.c_contiguous
+    t = brute_period(n)
+    for key in (0, 1, 7, 3 * n + 1, 10**12):
+        s, u = scramble(m, key), unscramble(m, key)
+        assert s.dtype == u.dtype == m.dtype
+        assert np.array_equal(s, walk(m, step_forward, key % t + 1)[-1])
+        assert np.array_equal(u, walk(m, step_inverse, key % t + 1)[-1])
+        assert np.array_equal(unscramble(s, key), m)
+        assert np.array_equal(scramble(u, key), m)
+    assert np.array_equal(m, base.T)

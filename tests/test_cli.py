@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridmark.attacks import load_registration
+from gridmark.attacks import load_registration, scale
 from gridmark.cli import BENCH_BATTERY, CSV_COLUMNS, main, read_report_csv
 from gridmark.codec import EmbedConfig, save_config
 from gridmark.errors import GridmarkError, MalformedFileError
@@ -170,6 +170,20 @@ def test_missing_model_file_is_domain_error(tmp_path, capsys):
     )
     assert code == 2
     assert "Error" in err
+
+
+def test_extract_overflowing_scale_exit_code(tmp_path, capsys):
+    # finite coordinates, but a normalization scale that overflows to inf
+    save_model(scale(generate_model("bumps", 64), 1e160), tmp_path / "huge.grid3")
+    code, text, err = run(
+        capsys, "extract",
+        "--model", str(tmp_path / "huge.grid3"),
+        "--w", "8",
+        "--out", str(tmp_path / "got.pbm"),
+    )
+    assert code == 2
+    assert "DegenerateModelError" in err
+    assert not (tmp_path / "got.pbm").exists()
 
 
 # ---------------------------------------------------------------------------

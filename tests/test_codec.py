@@ -275,7 +275,7 @@ def test_embed_touches_only_embedding_bands(small_model, small_marked):
 
 
 def _alpha(m, cfg):
-    return ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(reference_surface(m, cfg), cfg.system()).weight
+    return ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(reference_surface(m, cfg.directions), cfg.system()).weight
 
 
 def test_embed_moves_every_block_within_its_residual_bound(small_model, small_marked, wm16, default_cfg):
@@ -284,7 +284,7 @@ def test_embed_moves_every_block_within_its_residual_bound(small_model, small_ma
     assert (moved > 0.0).all()
     # each slot ends within (1 - alpha) q/2 of its bit's target lattice
     alpha = _alpha(small_model, default_cfg)
-    s = normalization_scale(reference_surface(small_marked, default_cfg))
+    s = normalization_scale(reference_surface(small_marked, default_cfg.directions))
     sbits = scramble(wm16.bits, default_cfg.key).ravel()[SlotMap(small_model.n, 16, default_cfg.directions).bit]
     q = default_cfg.q
     for di, name in enumerate(default_cfg.directions):
@@ -299,7 +299,7 @@ def test_embed_moves_every_block_within_its_residual_bound(small_model, small_ma
 # definition the block-atom codec must reproduce.
 
 def _tree_embed(m, wm, cfg):
-    s = normalization_scale(reference_surface(m, cfg))
+    s = normalization_scale(reference_surface(m, cfg.directions))
     alpha = _alpha(m, cfg)
     sbits = scramble(wm.bits, cfg.key).ravel()
     smap = SlotMap(m.n, wm.w, cfg.directions)
@@ -315,7 +315,7 @@ def _tree_embed(m, wm, cfg):
 
 
 def _tree_extract(m, w, cfg):
-    s = normalization_scale(reference_surface(m, cfg))
+    s = normalization_scale(reference_surface(m, cfg.directions))
     smap = SlotMap(m.n, w, cfg.directions)
     ones = np.zeros(w * w, dtype=np.int64)
     total = np.zeros(w * w, dtype=np.int64)
@@ -385,7 +385,7 @@ def test_one_projection_equals_two(kind, desk_models, desk_marked, wm32, default
 # eligible in the model it is given.
 
 def _masked_embed(m, wm, cfg):
-    ref = reference_surface(m, cfg)
+    ref = reference_surface(m, cfg.directions)
     s, el = normalization_scale(ref), compute_weights(ref, cfg.system()).eligible
     sbits = scramble(wm.bits, cfg.key).ravel()
     smap = SlotMap(m.n, wm.w, cfg.directions)
@@ -395,7 +395,7 @@ def _masked_embed(m, wm, cfg):
 
 
 def _masked_extract(m, w, cfg):
-    ref = reference_surface(m, cfg)
+    ref = reference_surface(m, cfg.directions)
     s, el = normalization_scale(ref), compute_weights(ref, cfg.system()).eligible
     smap = SlotMap(m.n, w, cfg.directions)
     c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
@@ -611,15 +611,15 @@ def test_config_hash_tracks_parameters_and_rule_text(tmp_path):
 # Normalization scale
 
 def test_normalization_scale_homogeneous(small_model, default_cfg):
-    s = normalization_scale(reference_surface(small_model, default_cfg))
+    s = normalization_scale(reference_surface(small_model, default_cfg.directions))
     assert s > 0.0
-    assert normalization_scale(reference_surface(scale(small_model, 2.0), default_cfg)) == 2.0 * s
+    assert normalization_scale(reference_surface(scale(small_model, 2.0), default_cfg.directions)) == 2.0 * s
 
 
 def test_normalization_scale_translation_invariant(small_model, default_cfg):
-    s = normalization_scale(reference_surface(small_model, default_cfg))
+    s = normalization_scale(reference_surface(small_model, default_cfg.directions))
     moved, _ = translate(small_model, 100.0, -250.0, 4000.0)
-    s2 = normalization_scale(reference_surface(moved, default_cfg))
+    s2 = normalization_scale(reference_surface(moved, default_cfg.directions))
     assert abs(s2 - s) <= 1e-9 * s
 
 
@@ -628,20 +628,39 @@ def _percentile_scale(ref):
     exact reference for normalization_scale."""
     lo, hi = np.percentile(np.stack([ref.x1, ref.x2, ref.x3]), [1.0, 99.0], axis=(1, 2))
     s = float(np.linalg.norm(hi - lo))
-    if s == 0.0:
-        raise DegenerateModelError("model has zero robust extent; cannot normalize")
+    if s == 0.0 or not np.isfinite(s):
+        raise DegenerateModelError(f"model has robust extent {s}; cannot normalize")
     return s
 
 
 def test_normalization_scale_degenerate():
     flat = GridModel(*(np.full((8, 8), 3.0) for _ in range(3)))
     with pytest.raises(DegenerateModelError):
-        normalization_scale(reference_surface(flat, EmbedConfig()))
+        normalization_scale(reference_surface(flat, EmbedConfig().directions))
     # constant coordinates, signed zeros among them, on both paths
     ref = GridModel(*(np.full((64, 64), v) for v in (-0.0, 0.0, 1e300)))
     for scale_of in (normalization_scale, _percentile_scale):
         with pytest.raises(DegenerateModelError):
             scale_of(ref)
+
+
+def test_normalization_scale_overflow_is_degenerate(wm16):
+    # finite coordinates whose p1-p99 ranges square past the float range:
+    # an inf scale would divide every coefficient to 0 and read all zeros
+    huge = scale(generate_model("bumps", 64, 0), 1e160)
+    assert all(np.isfinite(huge.matrix(name)).all() for name in ("x1", "x2", "x3"))
+    with pytest.raises(DegenerateModelError):
+        normalization_scale(reference_surface(huge, EmbedConfig().directions))
+    with pytest.raises(DegenerateModelError):
+        extract(huge, 8, EmbedConfig())
+    with pytest.raises(DegenerateModelError):
+        embed(huge, WatermarkBitmap(wm16.bits[:8, :8]), EmbedConfig())
+
+
+def test_normalization_scale_of_desk_models_pinned(desk_models, default_cfg):
+    want = {"bumps": 204795.89256613216, "harmonic": 204793.28108539036, "meshgrid": 204798.32589503613}
+    for kind, m in desk_models.items():
+        assert normalization_scale(reference_surface(m, default_cfg.directions)) == want[kind], kind
 
 
 def _spy_partitions(monkeypatch):

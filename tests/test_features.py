@@ -5,12 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-from gridmark import EmbedConfig, GridModel, chunks, generate_model
-from gridmark.errors import DimensionError
+from gridmark import GridModel, chunks, generate_model
 from gridmark.features import (
     ELIGIBLE_TERMS,
     FeatureField,
-    block_features,
     compute_weights,
     normalize_features,
     raw_features,
@@ -87,27 +85,20 @@ def oracle_block(m, u, v):
 
 
 def test_block_features_match_oracle(harmonic64):
+    field = raw_features(harmonic64)
     for u in range(8):
         for v in range(8):
-            got = block_features(harmonic64, u, v)
+            got = (field.curvature[u, v], field.area[u, v], field.bumpiness[u, v])
             want = oracle_block(harmonic64, u, v)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-9 + 1e-9 * abs(w)
 
 
 def test_plane_block_features_exact():
-    m = generate_model("plane", 64)
-    curvature, area, bumpiness = block_features(m, 3, 5)
-    assert curvature == 0.0
-    assert area == 49.0
-    assert bumpiness == 0.0
-
-
-def test_block_features_range_check(harmonic64):
-    with pytest.raises(DimensionError):
-        block_features(harmonic64, -1, 0)
-    with pytest.raises(DimensionError):
-        block_features(harmonic64, 0, 8)
+    field = raw_features(generate_model("plane", 64))
+    assert field.curvature[3, 5] == 0.0
+    assert field.area[3, 5] == 49.0
+    assert field.bumpiness[3, 5] == 0.0
 
 
 def test_raw_features_shapes(harmonic64):
@@ -115,7 +106,6 @@ def test_raw_features_shapes(harmonic64):
     assert field.nb == 8
     for ch in (field.curvature, field.area, field.bumpiness):
         assert ch.shape == (8, 8) and np.isfinite(ch).all()
-    assert field.curvature[2, 4] == block_features(harmonic64, 2, 4)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +193,13 @@ def test_block_constant_model_has_zero_spread_blocks(exact_surfaces):
 
 
 def test_block_features_equal_per_block_loop(exact_surfaces):
+    # one block evaluated alone, as an 8x8 surface of its own
     ref = exact_surfaces["noise"]
     for u, v in [(0, 0), (5, 17), (31, 31), (31, 0)]:
-        assert block_features(ref, u, v) == loop_block_features(ref, u, v)
+        sl = (slice(8 * u, 8 * u + 8), slice(8 * v, 8 * v + 8))
+        alone = raw_features(GridModel(ref.x1[sl], ref.x2[sl], ref.x3[sl]))
+        got = (alone.curvature[0, 0], alone.area[0, 0], alone.bumpiness[0, 0])
+        assert got == loop_block_features(ref, u, v)
 
 
 def test_normalize_channel_pins():
@@ -233,14 +227,6 @@ def test_reference_surface_zeroes_embed_bands(small_model):
         for path in EMBED_BANDS:
             assert np.abs(tree.band(path)).max() <= 1e-9
     assert ref.x3 is small_model.x3
-
-
-def test_reference_surface_accepts_config(small_model):
-    cfg = EmbedConfig()
-    a = reference_surface(small_model, cfg)
-    b = reference_surface(small_model, cfg.directions)
-    for name in ("x1", "x2", "x3"):
-        assert np.array_equal(a.matrix(name), b.matrix(name))
 
 
 def test_reference_surface_idempotent(small_model):

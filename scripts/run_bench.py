@@ -13,8 +13,9 @@ import numpy as np
 from gridmark.cli import main as gridmark
 from gridmark.model_io import WatermarkBitmap, generate_model, save_model, save_watermark
 
-# "plane" is deliberately absent: a flat sheet has no eligible detail blocks,
-# so embedding into it is rejected.
+# "plane" is left out by default (--kinds plane runs it): a flat sheet gives
+# every block the same features and so the same fuzzy weight, so its rows
+# say nothing about the perceptual weighting the battery is there to test.
 DEFAULT_KINDS = ("bumps", "harmonic", "meshgrid")
 
 

@@ -197,6 +197,8 @@ def random_noise(m: GridModel, a: float, seed: int = 0) -> GridModel:
     for name in _AXES:
         mat = m.matrix(name)
         rc = float(mat.max() - mat.min())
+        if not math.isfinite(2 * a * rc):
+            raise BadParameterError(f"noise amplitude {a} gives an infinite draw range on {name}")
         out[name] = mat + rng.uniform(-a * rc, a * rc, size=mat.shape)
     return GridModel(**out)
 

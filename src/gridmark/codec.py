@@ -72,8 +72,8 @@ class EmbedConfig:
         if not isinstance(self.key, int) or isinstance(self.key, bool) or self.key < 0:
             raise BadParameterError(f"key must be a non-negative integer, got {self.key!r}")
         self.q = float(self.q)
-        if not self.q > 0:
-            raise BadParameterError(f"q must be positive, got {self.q}")
+        if not 0 < self.q < math.inf:
+            raise BadParameterError(f"q must be positive and finite, got {self.q}")
         dirs = tuple(self.directions)
         if len(dirs) != len(set(dirs)) or not dirs:
             raise BadParameterError(f"directions must be a nonempty set, got {dirs}")
@@ -201,10 +201,6 @@ class SlotMap:
         stride = 5 * nb + 7
         bit = (slot + (slot // self.w**2) * stride) % self.w**2
         self.bit = bit.reshape(len(self.directions), len(EMBED_ATOMS), nb, nb)
-
-    @property
-    def total_slots(self) -> int:
-        return int(self.bit.size)
 
 
 # ---------------------------------------------------------------------------

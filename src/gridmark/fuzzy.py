@@ -1,20 +1,23 @@
 """Mamdani fuzzy inference with a small textual rule language.
 
 The engine is the classic min/max pipeline: inputs are clamped to their
-universes and fuzzified through piecewise-linear membership functions,
-each rule's firing strength is the minimum of its antecedent memberships
-(AND only) scaled by the rule weight, the consequent set is clipped at
-that strength, clipped sets are aggregated pointwise by max, and the
-crisp output is the centroid of the aggregate on a fixed 1001-point
-discretization of [0, 1].
+universes and fuzzified through trapezoids (a, b, c, d) in one elementwise
+closed form, on [a, d] the minimum of the rise ((x - a)/(b - a), 1 from b
+on) and the fall (1 up to c, then (d - x)/(d - c)), and 0 elsewhere and at
+NaN; each rule's firing strength is the minimum of its antecedent
+memberships (AND only) scaled by the rule weight, the consequent set is
+clipped at that strength, clipped sets are aggregated pointwise by max,
+and the crisp output is the centroid of the aggregate on a fixed
+1001-point discretization of [0, 1].
 
 Every entry point runs one path: _term_strengths fuzzifies each input
 term once and max-folds the strengths of the rules that share a consequent
 term; _aggregate fills the aggregate run by run.  FuzzyVariable.runs cuts
 the 1001 grid columns, once per variable, into maximal runs that share one
 set of nonzero terms (at most 2 of the 7 standard triangles), and each run
-is the max over its own terms of the clipped set min(s_k, mu_k).  Because
-min and max select one of their operands without rounding,
+is the max over its own terms of the clipped set min(s_k, mu_k); the same
+table checks that the terms cover the universe, as no run may be empty.
+Because min and max select one of their operands without rounding,
 
     max(min(s1, mu), min(s2, mu)) == min(max(s1, s2), mu)
 
@@ -96,17 +99,16 @@ class MembershipFunction:
         return self.points
 
     def membership(self, x):
-        """Piecewise-linear membership of x (scalar or array) in [0, 1]."""
+        """Piecewise-linear membership of x (scalar or array) in [0, 1].
+        A vertical edge (a == b or c == d) divides by zero and a near-vertical
+        one can overflow, but only where the quotient is replaced by 1 or
+        falls outside [a, d], where y is 0."""
         a, b, c, d = self._trapezoid()
         x = np.asarray(x, dtype=float)
-        y = np.zeros_like(x)
-        y[(x >= b) & (x <= c)] = 1.0
-        if b > a:
-            rise = (x >= a) & (x < b)
-            y[rise] = (x[rise] - a) / (b - a)
-        if d > c:
-            fall = (x > c) & (x <= d)
-            y[fall] = (d - x[fall]) / (d - c)
+        with np.errstate(all="ignore"):
+            rise = np.where(x >= b, 1.0, (x - a) / (b - a))
+            fall = np.where(x <= c, 1.0, (d - x) / (d - c))
+        y = np.where((x >= a) & (x <= d), np.minimum(rise, fall), 0.0)
         return y if y.ndim else float(y)
 
 
@@ -123,7 +125,7 @@ class FuzzyVariable:
     """Named variable over a closed universe with named terms.
 
     Term names are canonically uppercase; the variable name lowercase.
-    Every point of the universe must be covered by at least one term.
+    Every centroid grid column of the universe must be covered by a term.
     """
 
     name: str
@@ -142,11 +144,7 @@ class FuzzyVariable:
         object.__setattr__(
             self, "terms", tuple((t.upper(), mf) for t, mf in self.terms)
         )
-        grid = np.linspace(lo, hi, CENTROID_POINTS)
-        cover = np.zeros_like(grid)
-        for _, mf in self.terms:
-            cover = np.maximum(cover, mf.membership(grid))
-        if not (cover > 0).all():
+        if any(not terms for _, terms in self.runs[1]):
             raise BadParameterError(f"terms of {self.name!r} do not cover the universe")
 
     def term_names(self):

@@ -89,8 +89,7 @@ class WatermarkBitmap:
             raise NotSquareError(f"watermark must be square, got shape {b.shape}")
         if b.size == 0:
             raise DimensionError("watermark must have at least one pixel")
-        vals = np.unique(b)
-        if not np.isin(vals, (0, 1)).all():
+        if not ((b == 0) | (b == 1)).all():
             raise MalformedFileError("watermark bits must be 0 or 1")
         self.bits = b.astype(np.uint8)
 
@@ -197,15 +196,16 @@ def load_watermark(path) -> WatermarkBitmap:
     if magic not in ("P1", "P2"):
         raise MalformedFileError(f"unsupported image magic {magic!r}")
     try:
+        w, h = int(toks[1]), int(toks[2])
+        if w < 0 or h < 0:
+            raise MalformedFileError(f"bad image size {w}x{h}")
         if magic == "P1":
-            w, h = int(toks[1]), int(toks[2])
             data = toks[3:]
             # P1 allows packed digit runs like "0101".
             if len(data) != w * h:
                 data = [ch for tok in data for ch in tok]
             vals = [int(t) for t in data]
         else:
-            w, h = int(toks[1]), int(toks[2])
             maxval = int(toks[3])
             if maxval <= 0:
                 raise MalformedFileError(f"bad maxval {maxval}")
@@ -259,7 +259,7 @@ def export_obj(m: GridModel, path):
 # the regular grid ramp.  x3 combines a low-frequency macro shape with a
 # medium-wavelength modulated ripple (~11-13 grid steps): the envelope
 # makes the 8x8-block features bimodal (clearly busy patches on clearly
-# quiet background, so the eligibility mask tolerates percentile drift),
+# quiet background, so the fuzzy weights tolerate percentile drift),
 # the ripple scale keeps genuine block curvature comparable to what point
 # outliers inject, and the elevation range is normalized to 800*n so the
 # detail-domain quantization step stays large against perturbations of

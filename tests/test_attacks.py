@@ -171,6 +171,13 @@ def test_random_noise_zero_amplitude(bumps64):
         random_noise(bumps64, -0.1)
 
 
+@pytest.mark.parametrize("a", [1e308, math.inf, math.nan])
+def test_random_noise_rejects_an_infinite_draw_range(bumps64, a):
+    # numpy's uniform raised OverflowError once 2*a*range was not finite
+    with pytest.raises(BadParameterError):
+        random_noise(bumps64, a)
+
+
 def test_salt_pepper_mirrors_selection():
     m = generate_model("bumps", 256, seed=0)
     d, seed = 0.05, 101

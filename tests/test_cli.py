@@ -145,6 +145,34 @@ def test_embed_capacity_error_exit_code(tmp_path, capsys):
     assert "InsufficientCapacityError" in err
 
 
+def test_embed_negative_watermark_size_exit_code(workdir, tmp_path, capsys):
+    (tmp_path / "wm.pbm").write_text("P1\n-2 -2\n1 0 1 0\n")
+    code, _, err = run(
+        capsys, "embed",
+        "--model", str(workdir / "model.grid3"),
+        "--watermark", str(tmp_path / "wm.pbm"),
+        "--out", str(tmp_path / "marked.grid3"),
+    )
+    assert code == 2
+    assert err.startswith("MalformedFileError") and len(err.splitlines()) == 1
+    assert not (tmp_path / "marked.grid3").exists()
+
+
+@pytest.mark.parametrize("q", ["inf", "nan"])
+def test_extract_non_finite_q_exit_code(workdir, tmp_path, capsys, q):
+    (tmp_path / "inf.cfg").write_text(f"q={q}\n")
+    code, _, err = run(
+        capsys, "extract",
+        "--model", str(workdir / "marked.grid3"),
+        "--w", "16",
+        "--config", str(tmp_path / "inf.cfg"),
+        "--out", str(tmp_path / "got.pbm"),
+    )
+    assert code == 2
+    assert err.startswith("BadParameterError") and len(err.splitlines()) == 1
+    assert not (tmp_path / "got.pbm").exists()
+
+
 def test_extract_with_wrong_key_config(workdir, tmp_path, capsys):
     cfg_path = tmp_path / "wrong.cfg"
     save_config(EmbedConfig(key=6), cfg_path)
@@ -285,6 +313,7 @@ def test_attack_bad_parameters_exit_code(workdir, tmp_path, capsys):
         "gaussian:hsize=3,sigma=1e-300",
         "gaussian:hsize=100001,sigma=1",
         "log:hsize=129,sigma=1",
+        "randomnoise:a=1e308",
     ):
         code, _, err = run(
             capsys, "attack",

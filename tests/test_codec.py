@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,7 +161,7 @@ def test_slot_map_is_model_independent():
     b = SlotMap(256, 32, ("x1", "x2"))
     assert np.array_equal(a.bit, b.bit)
     assert a.bit.shape == (2, 8, 32, 32)
-    assert a.total_slots == 16384
+    assert a.bit.size == 16384
 
 
 def test_slot_map_every_bit_in_every_plane():
@@ -522,6 +524,9 @@ def test_config_validation():
         EmbedConfig(q=0.0)
     with pytest.raises(BadParameterError):
         EmbedConfig(q=-0.01)
+    for q in (math.inf, math.nan):
+        with pytest.raises(BadParameterError):
+            EmbedConfig(q=q)
     with pytest.raises(BadParameterError):
         EmbedConfig(directions=())
     with pytest.raises(BadParameterError):
@@ -567,6 +572,16 @@ def test_config_file_errors(tmp_path, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with pytest.raises(MalformedFileError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("q", ["inf", "nan"])
+def test_config_file_rejects_non_finite_q(tmp_path, q):
+    # an infinite q quantized every coefficient to 0 and extract printed an
+    # all-zero bitmap with exit status 0
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"q={q}\n")
+    with pytest.raises(BadParameterError):
         load_config(path)
 
 

@@ -113,6 +113,55 @@ def test_trapezoidal_plateau():
     assert mf.membership(0.9) == pytest.approx(0.5, abs=1e-15)
 
 
+def membership_by_masks(mf, x):
+    # the mask-and-write form the closed form replaced
+    p = mf.points
+    a, b, c, d = p if len(p) == 4 else (p[0], p[1], p[1], p[2])
+    x = np.asarray(x, dtype=float)
+    y = np.zeros_like(x)
+    y[(x >= b) & (x <= c)] = 1.0
+    if b > a:
+        rise = (x >= a) & (x < b)
+        y[rise] = (x[rise] - a) / (b - a)
+    if d > c:
+        fall = (x > c) & (x <= d)
+        y[fall] = (d - x[fall]) / (d - c)
+    return y
+
+
+# the 10 standard terms (every input variable has the same 3), then edge shapes
+REFERENCE_SHAPES = [mf for var in (watermark_variables()[0][0], watermark_variables()[1]) for _, mf in var.terms] + [
+    trapezoidal(0.0, 0.2, 0.8, 1.0),
+    trapezoidal(0.0, 0.0, 0.05, 0.45),  # left shoulder, flat top
+    trapezoidal(0.25, 0.5, 1.0, 1.0),  # right shoulder, flat top
+    triangular(0.3, 0.3, 0.3),  # a == b == c: a spike
+    trapezoidal(0.3, 0.3, 0.3, 0.3),
+    trapezoidal(-2.0, 0.0, 0.0, 3.0),
+    # slopes longer than 1 from a == 0 and to d == 0: an ulp outside divides to -0.0
+    trapezoidal(0.0, 2.0, 2.0, 3.0),
+    trapezoidal(-3.0, -2.0, -2.0, 0.0),
+    triangular(-0.0, 0.5, 1.0),
+    triangular(0.0, 5e-324, 1.0),  # near-vertical edges: quotients outside them overflow
+    triangular(0.0, 0.0, 5e-324),
+    triangular(0.0, 0.5, 0.5 + 2**-52),
+]
+
+
+@pytest.mark.parametrize("mf", REFERENCE_SHAPES, ids=lambda mf: repr(mf.points))
+def test_membership_equals_mask_form(mf):
+    pts = np.array(mf.points)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, np.inf, -np.inf, np.nan]
+    x = np.concatenate([
+        pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf), special,
+        np.random.default_rng(49).uniform(pts[0] - 0.5, pts[-1] + 0.5, 5000),
+    ])
+    got, want = mf.membership(x), membership_by_masks(mf, x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 at x == -0.0 == a, too
+    for xi, wi in zip(x[:40], want):
+        assert mf.membership(xi).hex() == wi.hex()
+
+
 def test_membership_validation():
     with pytest.raises(BadParameterError):
         triangular(0.5, 0.2, 1.0)
@@ -146,6 +195,15 @@ def test_variable_requires_coverage():
             (0.0, 1.0),
             (("a", triangular(0.0, 0.0, 0.3)), ("b", triangular(0.7, 1.0, 1.0))),
         )
+    # gaps exactly at one centroid grid column: the terms meet at zero
+    # membership in the middle, and the universe's last column is bare
+    for universe, terms in (
+        ((0.0, 1.0), (("a", triangular(0.0, 0.0, 0.5)), ("b", triangular(0.5, 1.0, 1.0)))),
+        ((2.0, 4.0), (("a", triangular(2.0, 2.0, 3.0)), ("b", triangular(3.0, 4.0, 4.0)))),
+        ((0.0, 1.0), (("a", trapezoidal(0.0, 0.0, 0.5, 0.999)),)),
+    ):
+        with pytest.raises(BadParameterError):
+            FuzzyVariable("seam", universe, terms)
     with pytest.raises(BadParameterError):
         FuzzyVariable("dup", (0.0, 1.0), (("a", triangular(0, 0, 1)), ("A", triangular(0, 1, 1))))
     with pytest.raises(BadParameterError):

@@ -320,6 +320,10 @@ def test_watermark_p2_threshold(tmp_path):
         ("P2\n2 2\n0\n0 0 0 0\n", MalformedFileError),
         ("P2\n2 2\n100\n0 0 0 101\n", MalformedFileError),
         ("P2\n2 2\n255\n0 0 0\n", MalformedFileError),
+        # numpy refused these sizes with a ValueError traceback
+        ("P1\n-2 -2\n1 0 1 0\n", MalformedFileError),
+        ("P1\n-2 2\n1 0 1 0\n", MalformedFileError),
+        ("P2\n-2 -2\n255\n0 0 0 0\n", MalformedFileError),
     ],
 )
 def test_watermark_malformed(tmp_path, text, err):

@@ -13,6 +13,29 @@ Textual encoding, used by the CLI::
     saltpepper:d=0.05,seed=42       gaussian:hsize=3,sigma=10
     laplacian:alpha=1               log:hsize=5,sigma=0.5
     crop:p=0.09
+
+Smoothing (gaussian, laplacian, log) convolves each coordinate matrix with
+an odd-sided kernel, edges replicated, and gives scipy.ndimage.convolve's
+mode="nearest" output bit for bit without importing scipy.  ndimage
+correlates with the kernel flipped on both axes; its footprint keeps only
+the taps with |w| > machine epsilon (a tap at or under it, or a NaN one, is
+left out, not added as a tiny product), and each output value is the sum
+from +0.0 of x * w over the kept taps in the flipped kernel's raster order.
+_convolve keeps that order, so every value and sign bit matches, and
+reaches ndimage's speed by sharing work between taps:
+
+- the matrix is padded once with np.pad(mode="edge") and read as a flat
+  buffer of row stride n + 2h, so a tap at (i, j) is one contiguous 1-D
+  slice at offset i * stride + j, and the 2h columns past each output row
+  are discarded at the end;
+- equal weights give equal products, so each distinct weight multiplies
+  the padded rows once and every tap with that weight adds a shifted slice
+  of the product (a Gaussian kernel of side 7 has 49 taps and 10 weights);
+- the output is made in bands of rows whose products fit _PRODUCTS
+  elements, so the products stay in cache and no large buffer is freed and
+  faulted in again on every call.  When a kernel's distinct weights do not
+  fit in one band's buffer, its taps are cut into runs in raster order,
+  each with its own products, added one run after the other.
 """
 
 import math
@@ -20,7 +43,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BadParameterError, MalformedFileError
 from .model_io import GridModel, read_text
@@ -268,8 +290,86 @@ def kernel_log(hsize: int, sigma: float) -> np.ndarray:
     return _check_finite(h - h.mean(), sigma)
 
 
+# Taps at or under this magnitude are left out, as ndimage's footprint does.
+_TAP_EPS = np.finfo(float).eps
+# Elements of the product buffer one band of output rows fills.
+_PRODUCTS = 1 << 17
+
+
+def _tap_groups(kernel, stride, rows):
+    """Rows per band for a matrix of `rows` rows, and the kept taps of the
+    flipped kernel cut, in raster order, into runs whose products over a
+    band fit _PRODUCTS elements (a run holds at least one tap).  Each run is
+    (its first kernel row, its last kernel row, its distinct weights as a
+    column, [(offset into its products, weight index)] per tap)."""
+    taps = [
+        (i, j, w)
+        for i, row in enumerate(kernel[::-1, ::-1].tolist())
+        for j, w in enumerate(row)
+        if abs(w) > _TAP_EPS
+    ]
+    # as many rows as let the products of all the weights fit the buffer,
+    # but at least 1/16 of it, so that with many weights every add still
+    # covers thousands of values
+    band = _PRODUCTS // (max(len({w for _, _, w in taps}), 1) * stride) - (len(kernel) - 1)
+    band = min(rows, max(band, _PRODUCTS // (16 * stride), 1))
+    groups = []
+    start = 0
+    while start < len(taps):
+        first, end, slots = taps[start][0], start, {}
+        while end < len(taps):
+            i, _, w = taps[end]
+            size = (len(slots) + (w not in slots)) * (band + i - first) * stride
+            if end > start and size > _PRODUCTS:
+                break
+            slots.setdefault(w, len(slots))
+            end += 1
+        offsets = [((i - first) * stride + j, slots[w]) for i, j, w in taps[start:end]]
+        groups.append((first, taps[end - 1][0], np.array(list(slots))[:, None], offsets))
+        start = end
+    return band, groups
+
+
 def _convolve(mat: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return ndimage.convolve(mat, kernel, mode="nearest")
+    """ndimage.convolve(mat, kernel, mode="nearest") of a float64 matrix
+    and an odd-sided kernel, bit for bit; see the module docstring."""
+    k0, k1 = kernel.shape
+    h0, h1 = k0 // 2, k1 // 2
+    n0, n1 = mat.shape
+    stride = n1 + 2 * h1
+    band, groups = _tap_groups(kernel, stride, n0)
+    out = np.zeros((n0, n1))
+    if not groups:
+        return out
+    padded = np.pad(mat, ((h0, h0), (h1, h1)), mode="edge")
+    span = max(len(w) * (band + last - first) for first, last, w, _ in groups)
+    products = np.empty(span * stride)
+    acc = np.empty(band * stride)
+
+    def plan(rows):
+        # per group: its products for a band of `rows` rows and the slice
+        # of them each tap adds to the band's flat sums, which stop 2h short
+        # of the band's end: its last row's discarded columns have no source
+        size = rows * stride - 2 * h1
+        steps = []
+        for first, last, w, taps in groups:
+            q = products[: len(w) * (rows + last - first) * stride].reshape(len(w), -1)
+            steps.append((first, last, w, q, [q[d, off : off + size] for off, d in taps]))
+        return acc[:size], steps
+
+    full = plan(band)
+    # ndimage overflows to inf and NaN silently; GridModel refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, n0, band):
+            r1 = min(r0 + band, n0)
+            a, steps = full if r1 - r0 == band else plan(r1 - r0)
+            a.fill(0.0)  # ndimage's sums start from +0.0
+            for first, last, w, q, sources in steps:
+                np.multiply(w, padded[r0 + first : r1 + last].reshape(1, -1), out=q)
+                for src in sources:
+                    a += src
+            out[r0:r1] = acc[: (r1 - r0) * stride].reshape(r1 - r0, stride)[:, :n1]
+    return out
 
 
 def smooth_gaussian(m: GridModel, hsize: int, sigma: float) -> GridModel:

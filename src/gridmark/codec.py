@@ -25,6 +25,7 @@ Models marked before the weight became the step size (when only HIGH and
 HIGHER blocks carried payload) do not decode under this extractor.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -192,15 +193,26 @@ class SlotMap:
     bit: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        nb = self.n // 8
-        slot = np.arange(len(self.directions) * len(EMBED_ATOMS) * nb * nb, dtype=np.int64)
-        if slot.size < self.w**2:
-            raise InsufficientCapacityError(slot.size, self.w**2)
-        # stride odd and ~5 rows + a few columns per pass: consecutive
-        # passes land far apart in both grid axes and in row parity
-        stride = 5 * nb + 7
-        bit = (slot + (slot // self.w**2) * stride) % self.w**2
-        self.bit = bit.reshape(len(self.directions), len(EMBED_ATOMS), nb, nb)
+        self.bit = _slot_bits(self.n, self.w, tuple(self.directions))
+
+
+# A few (n, w, directions) at a time: a process marks one size of model
+# with one watermark side, and at n=4096 one map takes 32 MB.
+@functools.lru_cache(maxsize=4)
+def _slot_bits(n, w, directions):
+    """SlotMap's bit array, built once per key and shared read-only by every
+    embed and extract with that key."""
+    nb = n // 8
+    slot = np.arange(len(directions) * len(EMBED_ATOMS) * nb * nb, dtype=np.int64)
+    if slot.size < w**2:
+        raise InsufficientCapacityError(slot.size, w**2)
+    # stride odd and ~5 rows + a few columns per pass: consecutive
+    # passes land far apart in both grid axes and in row parity
+    stride = 5 * nb + 7
+    bit = (slot + (slot // w**2) * stride) % w**2
+    bit = bit.reshape(len(directions), len(EMBED_ATOMS), nb, nb)
+    bit.flags.writeable = False
+    return bit
 
 
 # ---------------------------------------------------------------------------

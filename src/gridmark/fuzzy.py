@@ -15,8 +15,9 @@ term once and max-folds the strengths of the rules that share a consequent
 term; _aggregate fills the aggregate run by run.  FuzzyVariable.runs cuts
 the 1001 grid columns, once per variable, into maximal runs that share one
 set of nonzero terms (at most 2 of the 7 standard triangles), and each run
-is the max over its own terms of the clipped set min(s_k, mu_k); the same
-table checks that the terms cover the universe, as no run may be empty.
+is the max over its own terms of the clipped set min(s_k, mu_k).
+FuzzyVariable checks that its terms cover every float of the universe, not
+only the grid columns, from each term's breakpoints.
 Because min and max select one of their operands without rounding,
 
     max(min(s1, mu), min(s2, mu)) == min(max(s1, s2), mu)
@@ -125,7 +126,7 @@ class FuzzyVariable:
     """Named variable over a closed universe with named terms.
 
     Term names are canonically uppercase; the variable name lowercase.
-    Every centroid grid column of the universe must be covered by a term.
+    Every float of the universe must have a positive membership in a term.
     """
 
     name: str
@@ -144,8 +145,31 @@ class FuzzyVariable:
         object.__setattr__(
             self, "terms", tuple((t.upper(), mf) for t, mf in self.terms)
         )
-        if any(not terms for _, terms in self.runs[1]):
-            raise BadParameterError(f"terms of {self.name!r} do not cover the universe")
+        gap = self._first_gap()
+        if gap is not None:
+            raise BadParameterError(
+                f"terms of {self.name!r} do not cover the universe: none is positive at {gap!r}"
+            )
+
+    def _first_gap(self):
+        """The smallest float of the universe at which every term is 0, or
+        None.  A term is positive exactly on the floats of (a, d) and
+        [b, c]: an edge is closed where it is vertical (a == b, c == d), so
+        its positive floats run from a, or the float after it, to d, or the
+        float before it."""
+        lo, hi = self.universe
+        spans = []
+        for _, mf in self.terms:
+            a, b, c, d = mf._trapezoid()
+            first = a if a == b else math.nextafter(a, math.inf)
+            last = d if c == d else math.nextafter(d, -math.inf)
+            spans.append((first, last))
+        x = lo  # every float of the universe below x is covered
+        for first, last in sorted(spans):
+            if x > hi or first > x:
+                break
+            x = max(x, math.nextafter(last, math.inf))
+        return x if x <= hi else None
 
     def term_names(self):
         return tuple(t for t, _ in self.terms)

@@ -1,11 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
+from gridmark import attacks
 from gridmark.attacks import (
     AttackSpec,
     Registration,
+    _convolve,
     apply,
     apply_registration,
     crop,
@@ -25,6 +34,7 @@ from gridmark.attacks import (
     smooth_log,
     translate,
 )
+from gridmark.cli import BENCH_BATTERY
 from gridmark.errors import BadParameterError, MalformedFileError
 from gridmark.model_io import GridModel, generate_model
 
@@ -317,12 +327,89 @@ def test_gaussian_preserves_mean(desk_models):
 
 def test_log_smoothing_definition(bumps64):
     # unsharp form: x - conv(x, LoG) with replicate borders
-    from scipy import ndimage
-
     k = kernel_log(5, 0.5)
     out = smooth_log(bumps64, 5, 0.5)
     want = bumps64.x1 - ndimage.convolve(bumps64.x1, k, mode="nearest")
     assert np.array_equal(out.x1, want)
+
+
+EPS = np.finfo(float).eps
+# weights at and around ndimage's footprint threshold, zeros of both signs
+EDGE_WEIGHTS = (0.0, -0.0, EPS, -EPS, EPS * 1.001, -EPS * 1.001, EPS * 0.999, -EPS * 0.999)
+EDGE_DATA = (0.0, -0.0, 1e100, -1e100, 1e300, -1e300, 5e-324)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def ndimage_convolve(mat, kernel):
+    return ndimage.convolve(mat, kernel, mode="nearest")
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(3, 20))
+    k = draw(st.sampled_from(range(3, n + 1, 2)))
+    weight = st.one_of(
+        st.sampled_from(EDGE_WEIGHTS),
+        st.floats(-1e4, 1e4, allow_nan=False),
+        st.floats(1e-20, 1e-12),
+        st.floats(-1e-12, -1e-20),
+    )
+    if draw(st.booleans()):  # few distinct weights, so taps share products
+        pool = draw(st.lists(weight, min_size=1, max_size=3))
+        weight = st.sampled_from(pool)
+    kernel = np.array(draw(st.lists(weight, min_size=k * k, max_size=k * k))).reshape(k, k)
+    value = st.one_of(st.sampled_from(EDGE_DATA), st.floats(-1e6, 1e6, allow_nan=False))
+    mat = np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return mat, kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_cases(), budget=st.sampled_from([attacks._PRODUCTS, 1 << 10, 64]))
+def test_convolve_matches_ndimage_bit_for_bit(case, budget):
+    # small product budgets shorten the bands and cut the taps into runs
+    mat, kernel = case
+    saved, attacks._PRODUCTS = attacks._PRODUCTS, budget
+    try:
+        got = _convolve(mat, kernel)
+    finally:
+        attacks._PRODUCTS = saved
+    assert same_bits(got, ndimage_convolve(mat, kernel))
+
+
+def test_battery_matches_ndimage_byte_for_byte(desk_models, monkeypatch):
+    want = {}
+    with monkeypatch.context() as m:
+        m.setattr(attacks, "_convolve", ndimage_convolve)
+        for kind, model in desk_models.items():
+            for text in BENCH_BATTERY:
+                want[kind, text] = apply(model, parse_attack(text))[0]
+    for kind, model in desk_models.items():
+        for text in BENCH_BATTERY:
+            got = apply(model, parse_attack(text))[0]
+            for name in ("x1", "x2", "x3"):
+                assert got.matrix(name).tobytes() == want[kind, text].matrix(name).tobytes(), (kind, text)
+
+
+def test_smoothing_does_not_import_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "import gridmark.cli\n"
+        "from gridmark.attacks import apply, parse_attack\n"
+        "from gridmark.model_io import generate_model\n"
+        "apply(generate_model('bumps', 32, 0), parse_attack('gaussian:hsize=7,sigma=10'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    # the child imports the same gridmark as this process
+    src = str(Path(attacks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=tmp_path, env=env,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_smoothing_affects_interior(bumps64):

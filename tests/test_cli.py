@@ -173,6 +173,22 @@ def test_extract_non_finite_q_exit_code(workdir, tmp_path, capsys, q):
     assert not (tmp_path / "got.pbm").exists()
 
 
+def test_embed_with_an_overflowing_step_reports_minus_inf_psnr(workdir, tmp_path, capsys):
+    # the marked model is finite, but its squared error against the
+    # original overflows: PSNR is -inf, not a math domain error
+    (tmp_path / "big.cfg").write_text("q=1e300\n")
+    code, text, err = run(
+        capsys, "embed",
+        "--model", str(workdir / "model.grid3"),
+        "--watermark", str(workdir / "wm.pbm"),
+        "--config", str(tmp_path / "big.cfg"),
+        "--out", str(tmp_path / "marked.grid3"),
+    )
+    assert code == 0, err
+    assert "psnr_db=-inf" in text.splitlines()
+    assert (tmp_path / "marked.grid3").exists()
+
+
 def test_extract_with_wrong_key_config(workdir, tmp_path, capsys):
     cfg_path = tmp_path / "wrong.cfg"
     save_config(EmbedConfig(key=6), cfg_path)

@@ -204,6 +204,28 @@ def test_variable_requires_coverage():
     ):
         with pytest.raises(BadParameterError):
             FuzzyVariable("seam", universe, terms)
+    # gaps between two centroid grid columns: 0.5005 lies in none of the
+    # terms; and gaps of one float, next to a vertical or a sloped edge
+    after = math.nextafter(0.5, 1.0)
+    for terms, gap in (
+        ((("a", triangular(0, 0, 0.5004)), ("b", triangular(0.5006, 1, 1))), 0.5004),
+        ((("a", trapezoidal(0, 0, 0.5, 0.5)), ("b", trapezoidal(math.nextafter(after, 1.0), 1, 1, 1))), after),
+        ((("a", trapezoidal(0, 0, 0.25, 0.5)), ("b", trapezoidal(after, after, 1, 1))), 0.5),
+        ((("a", trapezoidal(0, 0, 0.5, 0.5)), ("b", trapezoidal(after, math.nextafter(after, 1.0), 1, 1))), after),
+        ((("a", trapezoidal(0, 0, 0.5, 1)),), 1.0),
+        ((("a", trapezoidal(after, after, 1, 1)),), 0.0),
+    ):
+        with pytest.raises(BadParameterError, match=f"none is positive at {gap!r}$"):
+            FuzzyVariable("gap", (0.0, 1.0), terms)
+        assert not any(mf.membership(gap) for _, mf in terms)
+    # terms that meet on adjacent floats, or overlap by one, leave no gap
+    for terms in (
+        (("a", trapezoidal(0, 0, 0.5, 0.5)), ("b", trapezoidal(after, after, 1, 1))),
+        (("a", trapezoidal(0, 0, 0.5, after)), ("b", trapezoidal(0.5, after, 1, 1))),
+        (("a", triangular(0, 0, 0.5004)), ("b", triangular(0.5003, 1, 1))),
+    ):
+        v = FuzzyVariable("seam", (0.0, 1.0), terms)
+        assert all(max(v.fuzzify(x).values()) > 0 for x in (0.5, after, 0.5004))
     with pytest.raises(BadParameterError):
         FuzzyVariable("dup", (0.0, 1.0), (("a", triangular(0, 0, 1)), ("A", triangular(0, 1, 1))))
     with pytest.raises(BadParameterError):

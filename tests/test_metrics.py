@@ -108,6 +108,24 @@ def test_psnr_errors():
         psnr(flat, flat)
 
 
+def test_psnr_out_of_float_range():
+    i, j = np.meshgrid(np.arange(8.0), np.arange(8.0), indexing="ij")
+    orig = GridModel(i, j, np.zeros((8, 8)))
+    # a squared error past float range reads -inf, with no warning
+    assert psnr(orig, orig.replace(x3=np.full((8, 8), 1e200))) == -math.inf
+    assert psnr(orig, orig.replace(x3=np.full((8, 8), 1.7e308))) == -math.inf
+    # a range whose square overflows: 20*log10(peak) - 10*log10(mse)
+    big = orig.replace(x1=i * 1e200)
+    diff = np.zeros((8, 8))
+    diff[0, 0] = 1.0
+    want = 20.0 * math.log10(7e200) - 10.0 * math.log10(1.0 / (3 * 64))
+    assert psnr(big, big.replace(x2=j + diff)) == pytest.approx(want, rel=1e-12)
+    # a ratio that underflows to 0
+    tiny = GridModel(i * 1e-200, j * 1e-200, np.zeros((8, 8)))
+    got = psnr(tiny, tiny.replace(x3=np.full((8, 8), 1e100)))
+    assert got == pytest.approx(20.0 * math.log10(7e-200) - 10.0 * math.log10(1e200 / 3), rel=1e-12)
+
+
 def test_ber_pins():
     a = WatermarkBitmap(RNG.integers(0, 2, size=(32, 32), dtype=np.uint8))
     assert ber(a, a) == 0.0

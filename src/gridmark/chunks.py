@@ -1,21 +1,19 @@
 """Run a per-row kernel over fixed row chunks of its inputs on every usable CPU.
 
-The weight field is one independent row per block: its features and its
-fuzzy centroid depend on that block alone.  features.raw_features and
-fuzzy.evaluate_many therefore split their inputs into CHUNK-row slices and
-map a private kernel over them.  numpy's SVD, elementwise arithmetic,
-reductions and matrix-vector products release the GIL, so the caller and the
-workers of a thread pool made for the call, one thread per usable CPU in
-all, take the chunks from a shared queue; with one CPU or one chunk the
-caller runs them as a plain loop.
+The block features of the weight field are one independent row per block:
+they depend on that block alone.  features.raw_features therefore splits
+its block stacks into CHUNK-row slices and maps a private kernel over
+them.  numpy's SVD, elementwise arithmetic and reductions release the GIL,
+so the caller and the workers of a thread pool made for the call, one
+thread per usable CPU in all, take the chunks from a shared queue; with one
+CPU or one chunk the caller runs them as a plain loop.
 
-The result does not depend on the chunking or the number of threads.
-Every reduction in the kernels runs within one row, and CHUNK is a
-multiple of 64, so the BLAS matrix-vector product groups the rows of
-every chunk as one whole-array call on one BLAS thread groups them (a
-333-row chunk does not).  A kernel calls no traced or pooled function,
-so each public entry point is entered once, on the caller's thread, and
-no worker starts a pool of its own.
+The result does not depend on the chunking or the number of threads: every
+reduction in the kernel runs within one row.  A kernel calls no traced or
+pooled function, so each public entry point is entered once, on the
+caller's thread, and no worker starts a pool of its own.  numpy's error
+state is per thread, so a kernel that must silence a floating-point
+warning sets it itself.
 """
 
 import os

@@ -21,13 +21,12 @@ the surface's blocks, one per coordinate.  The Laplacian, the edge
 vectors and the cross products are written out per coordinate, a
 3-vector norm is sqrt(a*a + b*b + c*c), and the centred points are
 stacked into (B, 64, 3) only for the one batched SVD.  raw_features cuts
-the stacks into 256-block chunks (a multiple of 64, see chunks.py) and
-runs them across the usable CPUs.  Each reduction runs over one
-contiguous per-block row (36 Laplacian norms, 49 cell areas, 64 points)
-in the order a block-by-block loop sums it, so the features are
-bit-identical to that loop's, and a block's features do not depend on
-whether it is evaluated alone, in a chunk or with the rest of the
-surface, nor on the thread count.
+the stacks into 256-block chunks (see chunks.py) and runs them across the
+usable CPUs.  Each reduction runs over one contiguous per-block row (36
+Laplacian norms, 49 cell areas, 64 points) in the order a block-by-block
+loop sums it, so the features are bit-identical to that loop's, and a
+block's features do not depend on whether it is evaluated alone, in a
+chunk or with the rest of the surface, nor on the thread count.
 
 Raw features are normalized per channel to [0,1] by a robust percentile
 map; the fuzzy system turns them into a crisp weight, which sets the
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chunks import map_chunks
+from .errors import DegenerateModelError
 from .fuzzy import FuzzySystem, OUTPUT_TERMS, evaluate_many, weight_class_many
 from .model_io import GridModel, validate_model
 from .wavelet import add_atoms, embed_coefficients
@@ -97,11 +97,17 @@ def _cell_edges(x):
     return x[:, 1:, :-1] - p00, x[:, 1:, 1:] - p00, x[:, :-1, 1:] - p00
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _features(blocks):
     """Raw (curvature, area, bumpiness), each of shape (B,), of the three
     (B, 8, 8) coordinate stacks of _block_points.  Every reduction runs over
     one contiguous per-block row, so a block's features do not depend on how
-    many blocks share the call."""
+    many blocks share the call.
+
+    A block whose squares or sums pass the float range gets inf or NaN
+    features, without a RuntimeWarning, and compute_weights refuses them.
+    numpy's error state is per thread, so it is set here, on the thread that
+    runs the kernel, not around map_chunks."""
     count = len(blocks[0])
 
     curvature = _norm3(*map(_laplacian, blocks)).reshape(count, 36).mean(axis=1)
@@ -125,7 +131,9 @@ def _features(blocks):
     spread = functools.reduce(np.maximum, (np.abs(x).max(axis=1) for x in centered))
     point = spread == 0.0  # the block is a single point: bumpiness 0
     scale = np.where(point, 1.0, spread)[:, None]
-    sv = np.linalg.svd(np.stack([x / scale for x in centered], axis=-1), compute_uv=False)
+    scaled = np.stack([x / scale for x in centered], axis=-1)
+    scaled[~np.isfinite(spread)] = 0.0  # NaN would stop the SVD; the bumpiness stays non-finite
+    sv = np.linalg.svd(scaled, compute_uv=False)
     bumpiness = np.where(point, 0.0, spread * sv[:, -1] / math.sqrt(64))
 
     return curvature, area, bumpiness
@@ -185,8 +193,15 @@ def normalize_features(raw: FeatureField) -> FeatureField:
 
 
 def compute_weights(ref: GridModel, sys: FuzzySystem) -> WeightField:
-    """Raw features -> percentile normalization -> fuzzy weight -> eligibility."""
-    norm = normalize_features(raw_features(ref))
+    """Raw features -> percentile normalization -> fuzzy weight -> eligibility.
+
+    A model whose block features leave the float range (finite coordinates
+    far past its robust extent, squared or summed) raises
+    DegenerateModelError."""
+    raw = raw_features(ref)
+    if not all(np.isfinite(x).all() for x in (raw.curvature, raw.area, raw.bumpiness)):
+        raise DegenerateModelError("block features of the model are not finite; cannot weight its blocks")
+    norm = normalize_features(raw)
     nb = norm.nb
     w = evaluate_many(sys, norm.curvature, norm.bumpiness, norm.area).reshape(nb, nb)
     cls = weight_class_many(sys, w)

@@ -10,31 +10,42 @@ clipped at that strength, clipped sets are aggregated pointwise by max,
 and the crisp output is the centroid of the aggregate on a fixed
 1001-point discretization of [0, 1].
 
-Every entry point runs one path: _term_strengths fuzzifies each input
-term once and max-folds the strengths of the rules that share a consequent
-term; _aggregate fills the aggregate run by run.  FuzzyVariable.runs cuts
-the 1001 grid columns, once per variable, into maximal runs that share one
-set of nonzero terms (at most 2 of the 7 standard triangles), and each run
-is the max over its own terms of the clipped set min(s_k, mu_k).
-FuzzyVariable checks that its terms cover every float of the universe, not
-only the grid columns, from each term's breakpoints.
-Because min and max select one of their operands without rounding,
+Every entry point fuzzifies and folds the same way: _term_strengths
+fuzzifies each input term once and max-folds the strengths of the rules
+that share a consequent term.  FuzzyVariable.runs cuts the 1001 grid
+columns, once per variable, into maximal runs that share one set of
+nonzero terms (at most 2 of the 7 standard triangles).  FuzzyVariable
+checks that its terms cover every float of the universe, not only the grid
+columns, from each term's breakpoints.
+
+evaluate fills its one row's aggregate run by run (_aggregate): each run is
+the max over its own terms of the clipped set min(s_k, mu_k).  Because min
+and max select one of their operands without rounding,
 
     max(min(s1, mu), min(s2, mu)) == min(max(s1, s2), mu)
 
 holds exactly, and a term that is zero in a column clips to 0 there, so
 the aggregate is bit-identical to clipping one set per rule over the whole
-grid.  evaluate_many takes every row's centroid with a row sum and a
-matrix-vector product; evaluate takes its one row's with math.fsum, which
-rounds correctly, so a symmetric aggregate has an exact centroid (0.5 for
-one rule clipped about 0.5).
+grid.  Its centroid is taken with math.fsum, which rounds correctly, so a
+symmetric aggregate has an exact centroid (0.5 for one rule clipped about
+0.5).
 
-evaluate_many runs in 256-input chunks across the usable CPUs (see
-chunks.py), so its aggregate is (256, 1001) per chunk rather than one per
-whole field.  The result does not depend on the chunking or the thread
-count: the mass and the moment are per-row reductions, and with a chunk
-size that is a multiple of 64 the BLAS product groups each row as one
-whole-array call on one BLAS thread does.
+evaluate_many never builds an aggregate.  Within a column the aggregate is
+max_k min(s_k, mu_k) over the column's nonzero terms, which by
+inclusion-exclusion is
+
+    sum over nonempty term sets S of (-1)**(|S| + 1) * min(sigma_S, t_S)
+
+with sigma_S the least strength and t_S the least membership of the terms
+in S.  t_S does not depend on the input, so FuzzyVariable.centroid_tables
+sorts it once per set, over the columns where S is nonzero together, with
+prefix sums; a row's mass and moment are then a count of the values of t_S
+below sigma_S (looked up in buckets of [0, 1], not binary-searched) and a
+few lookups per table, and the default output has 13 tables (7 terms and 6
+neighbouring pairs) in place of 1001 columns.  The sums round differently
+from the grid aggregate's, so the weights differ from its centroids by a
+few ulps (about 1e-15).  evaluate_many is one vectorized pass on the
+caller's thread; its memory is a few arrays of one value per input.
 
 Rule language, one statement per rule, case-insensitive keywords:
 
@@ -46,13 +57,14 @@ Only AND is supported as a connective.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
-from .chunks import map_chunks
 from .errors import (
     BadParameterError,
     EmptyAggregateError,
@@ -64,6 +76,42 @@ CENTROID_POINTS = 1001
 
 # Fixed defuzzification grid: k/1000 for k = 0..1000.
 _GRID = np.arange(CENTROID_POINTS) / (CENTROID_POINTS - 1.0)
+
+# Buckets of [0, 1] that a centroid table indexes its values by.
+_BUCKETS = 1024
+
+
+class _CentroidTable(NamedTuple):
+    """For one set S of output terms, over the grid columns where all of S
+    is nonzero: t_S, the least membership of S in each column, and the sums
+    that give, for a strength s in [0, 1] with k = _count_below(table, s),
+
+        sum of min(s, t_S)     == mass[k] + s * count[k]
+        sum of x * min(s, t_S) == moment[k] + s * x_sum[k]
+
+    over those columns, x the grid point of each."""
+
+    terms: tuple  # S, in declaration order
+    odd: bool  # |S| is odd: inclusion-exclusion adds the table, else subtracts it
+    values: np.ndarray  # the distinct values of t_S, ascending, then `depth` infs
+    first: np.ndarray  # first[b]: how many values lie below b / _BUCKETS
+    depth: int  # the most values in one bucket
+    mass: np.ndarray  # [k]: the sum of t_S over the columns below values[k]
+    count: np.ndarray  # [k]: how many columns are at or above values[k]
+    moment: np.ndarray  # [k]: the sum of x * t_S over the columns below values[k]
+    x_sum: np.ndarray  # [k]: the sum of x over the columns at or above values[k]
+
+
+def _count_below(table: _CentroidTable, s):
+    """How many of the table's distinct values are below each strength s in
+    [0, 1], as np.searchsorted would count them, but with no branch per
+    value: s * _BUCKETS is exact, so every value in an earlier bucket than
+    s is below it and every value in a later one is above, and the at most
+    `depth` values in its own bucket are compared one by one."""
+    k = table.first[(s * _BUCKETS).astype(np.intp)]
+    for _ in range(table.depth):
+        k += table.values[k] < s
+    return k
 
 
 @dataclass(frozen=True)
@@ -191,6 +239,39 @@ class FuzzyVariable:
             terms = tuple((self.terms[k][0], mu[k, cols]) for k in np.flatnonzero(nonzero[:, start]))
             runs.append((cols, terms))
         return grid, tuple(runs)
+
+    @functools.cached_property
+    def centroid_tables(self):
+        """One _CentroidTable per set of terms that are nonzero together in
+        some grid column, derived once per variable from the run table."""
+        grid, runs = self.runs
+        pieces = {}
+        for cols, terms in runs:
+            for size in range(1, len(terms) + 1):
+                for subset in itertools.combinations(terms, size):
+                    t = functools.reduce(np.minimum, (mu for _, mu in subset))
+                    pieces.setdefault(tuple(name for name, _ in subset), []).append((t, grid[cols]))
+        tables = []
+        for names, parts in pieces.items():
+            t, x = (np.concatenate(p) for p in zip(*parts))
+            order = np.argsort(t, kind="stable")
+            t, x = t[order], x[order]
+            values, below = np.unique(t, return_index=True)  # below[k]: columns below values[k]
+            below = np.r_[below, t.size]
+            bucket = (values * _BUCKETS).astype(np.intp)
+            depth = int(np.bincount(bucket).max())
+            arrays = dict(
+                values=np.r_[values, np.full(depth, np.inf)],
+                first=np.searchsorted(bucket, np.arange(_BUCKETS + 1)),
+                mass=np.r_[0.0, np.cumsum(t)][below],
+                count=t.size - below,
+                moment=np.r_[0.0, np.cumsum(x * t)][below],
+                x_sum=np.r_[np.cumsum(x[::-1])[::-1], 0.0][below],
+            )
+            for a in arrays.values():
+                a.flags.writeable = False  # shared by every call
+            tables.append(_CentroidTable(names, len(names) % 2 == 1, depth=depth, **arrays))
+        return tuple(tables)
 
     def term(self, name) -> MembershipFunction:
         key = name.upper()
@@ -485,17 +566,22 @@ def evaluate(sys: FuzzySystem, curvature, bumpiness, area) -> float:
     return moment / mass
 
 
-def _mass_and_moment(sys: FuzzySystem, curvature, bumpiness, area):
-    """Per input row: the aggregate's mass and its first moment on the grid."""
-    grid, agg = _aggregate(sys, curvature, bumpiness, area)
-    return agg.sum(axis=1), agg @ grid
-
-
 def evaluate_many(sys: FuzzySystem, curvature, bumpiness, area) -> np.ndarray:
     """Vectorized evaluate over equal-length input arrays: one crisp output
-    per element, flattened."""
-    inputs = (x.ravel() for x in np.broadcast_arrays(curvature, bumpiness, area))
-    mass, moment = map_chunks(functools.partial(_mass_and_moment, sys), *inputs)
+    per element, flattened.  The centroid of each row's aggregate comes from
+    the output's centroid_tables by inclusion-exclusion, without the
+    aggregate itself."""
+    inputs = [x.ravel() for x in np.broadcast_arrays(curvature, bumpiness, area)]
+    strength = _term_strengths(sys, *inputs)
+    mass, moment = np.zeros(inputs[0].size), np.zeros(inputs[0].size)
+    for table in sys.output.centroid_tables:
+        if not strength.keys() >= set(table.terms):
+            continue  # a term no rule concludes on clips every set with it to 0
+        s = functools.reduce(np.minimum, (strength[t] for t in table.terms))
+        k = _count_below(table, s)
+        add = np.add if table.odd else np.subtract
+        add(mass, table.mass[k] + s * table.count[k], out=mass)
+        add(moment, table.moment[k] + s * table.x_sum[k], out=moment)
     if (mass == 0.0).any():
         raise EmptyAggregateError("no rule fired for some inputs; aggregate set is empty")
     return moment / mass

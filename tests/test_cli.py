@@ -145,6 +145,24 @@ def test_embed_capacity_error_exit_code(tmp_path, capsys):
     assert "InsufficientCapacityError" in err
 
 
+def test_embed_far_outlier_exit_code(workdir, tmp_path, capsys):
+    # one coordinate far past the model's robust extent: the scale is
+    # ordinary, but the block features square it past the float range
+    m = generate_model("bumps", 128, seed=1)
+    x3 = m.x3.copy()
+    x3[0, 0] = 1e200
+    save_model(m.replace(x3=x3), tmp_path / "far.grid3")
+    code, _, err = run(
+        capsys, "embed",
+        "--model", str(tmp_path / "far.grid3"),
+        "--watermark", str(workdir / "wm.pbm"),
+        "--out", str(tmp_path / "marked.grid3"),
+    )
+    assert code == 2
+    assert err.startswith("DegenerateModelError") and len(err.splitlines()) == 1
+    assert not (tmp_path / "marked.grid3").exists()
+
+
 def test_embed_negative_watermark_size_exit_code(workdir, tmp_path, capsys):
     (tmp_path / "wm.pbm").write_text("P1\n-2 -2\n1 0 1 0\n")
     code, _, err = run(

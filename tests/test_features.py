@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from gridmark import GridModel, chunks, generate_model
+from gridmark.errors import DegenerateModelError
 from gridmark.features import (
     ELIGIBLE_TERMS,
     FeatureField,
@@ -361,6 +363,42 @@ def test_raw_features_chunked_equal_whole_stack(chunk_workers, n):
     want = _features(_block_points(ref))
     for channel, w in zip(("curvature", "area", "bumpiness"), want):
         assert np.array_equal(getattr(got, channel), w.reshape(n // 8, n // 8)), channel
+
+
+@pytest.mark.parametrize("far", [1e200, 1e308])
+def test_features_past_float_range_are_degenerate(chunk_workers, system, far):
+    # Far outliers leave p1-p99 and the scale ordinary.  At 1e200 the
+    # block features square them past the float range; at 1e308 the block
+    # means overflow too and their points would reach the SVD as NaN.  One
+    # outlier block is in the first of the 5 chunks, one in the last.
+    m = generate_model("bumps", 264, 0)
+    x3 = m.x3.copy()
+    x3[0, 0] = x3[0, 1] = far
+    x3[1, 0] = x3[263, 263] = -far
+    ref = reference_surface(m.replace(x3=x3), DIRS)
+    got, want = raw_features(ref), raw_features(reference_surface(m, DIRS))
+    far_blocks = np.zeros((33, 33), dtype=bool)
+    far_blocks[0, 0] = far_blocks[32, 32] = True
+    for channel in ("curvature", "area", "bumpiness"):
+        a, b = getattr(got, channel), getattr(want, channel)
+        assert np.array_equal(a[~far_blocks], b[~far_blocks]), channel
+    finite = np.isfinite(got.curvature) & np.isfinite(got.area) & np.isfinite(got.bumpiness)
+    assert np.array_equal(finite, ~far_blocks)
+    with pytest.raises(DegenerateModelError):
+        compute_weights(ref, system)
+
+
+def test_raw_features_of_desk_models_pinned(desk_models):
+    # the kernel's silenced overflow must leave every finite feature's bits alone
+    want = {
+        "bumps": "0773fb045029bed715f4a204ade9101526ff7c6d7eeee07062dc84d97bac0a1b",
+        "harmonic": "b446671e955423399a6f3d466337828df61b6a6d0fef5b38265b82fc44b9eca2",
+        "meshgrid": "b2e1d0b74de700c4ba3c9e8b3d5d55101e5aa7f69f3be674578ce70991d11e01",
+    }
+    for kind, m in desk_models.items():
+        f = raw_features(reference_surface(m, DIRS))
+        data = b"".join(getattr(f, channel).tobytes() for channel in ("curvature", "area", "bumpiness"))
+        assert hashlib.sha256(data).hexdigest() == want[kind], kind
 
 
 def test_concurrent_compute_weights_get_the_serial_field(monkeypatch, system):

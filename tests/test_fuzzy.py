@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from gridmark.fuzzy import (
     watermark_variables,
     weight_class_many,
     _aggregate,
+    _count_below,
 )
 
 # ---------------------------------------------------------------------------
@@ -452,22 +456,43 @@ def test_empty_aggregate_raises(variables):
         evaluate_many(sys, [1.0, 0.0], [0.5, 0.5], [0.5, 0.5])
 
 
+# evaluate_many sums prefix-sum tables by inclusion-exclusion, so its
+# centroids differ from the aggregate's by rounding alone.  The reference is
+# the centroid of the (m, 1001) grid aggregate, summed in np.longdouble,
+# whose exponent range (80-bit on x86-64, IEEE quad elsewhere) keeps the
+# 2**-1074-scale clipped sets of subnormal strengths exact where float64
+# products would round them away.  Near 2**-1074 rounding is absolute, so
+# the bound adds 64 units of 2**-1074 over the mass: each table's terms
+# round by at most half a unit there, and a 4-term run alone has 15 tables.
+W_BOUND = 1e-13
+_SUBNORMAL = 64 * np.finfo(float).smallest_subnormal
+
+
+def mass_and_moment(agg, grid):
+    """Per row of an aggregate on the grid: its mass and first moment."""
+    agg = agg.astype(np.longdouble)
+    return agg.sum(axis=1), (agg * grid).sum(axis=1)
+
+
+def centroid_errors(w, agg, grid):
+    """|w - the aggregate's centroid| per row, over the bound it is held to."""
+    mass, moment = mass_and_moment(agg, grid)
+    bound = W_BOUND + _SUBNORMAL / mass.astype(float)
+    return (np.abs(w - moment / mass) / bound).astype(float)
+
+
 @pytest.mark.parametrize("count", [1, 9, 1089, 4225])  # the block counts of n = 8, 24, 264, 520
 def test_evaluate_many_chunked_equals_whole_aggregate(chunk_workers, system, count):
+    # one usable CPU or four: evaluate_many runs on the caller's thread alone
     rng = np.random.default_rng(count)
     x = rng.uniform(-0.1, 1.1, size=(3, count))
     grid, agg = _aggregate(system, *x)
-    # The BLAS product takes rows in small groups.  On one BLAS thread a
-    # whole-array call groups them as 64-row slices do; on several it may
-    # split the rows off those groups (4225 rows on two threads do), so the
-    # reference multiplies 64-row slices of the one whole aggregate.
-    moment = np.concatenate([agg[i : i + 64] @ grid for i in range(0, count, 64)])
-    assert np.array_equal(evaluate_many(system, *x), moment / agg.sum(axis=1))
+    assert centroid_errors(evaluate_many(system, *x), agg, grid).max() <= 1.0
 
 
 def test_evaluate_many_chunked_edges(chunk_workers, system, variables):
     assert evaluate_many(system, [], [], []).shape == (0,)
-    # an input that fires no rule, in the third chunk, fails the whole field
+    # one input that fires no rule, deep in the field, fails the whole field
     inputs, output = variables
     sys = FuzzySystem(inputs, output, (Rule((("curvature", "HIGH"),), ("weight", "LOW")),))
     c = np.ones(600)
@@ -616,7 +641,7 @@ def test_evaluate_many_equals_rule_by_rule_aggregation(variables, triples, rules
         with pytest.raises(EmptyAggregateError):
             evaluate_many(sys, c, b, a)
     else:
-        assert np.array_equal(evaluate_many(sys, c, b, a), (agg @ grid) / mass)
+        assert centroid_errors(evaluate_many(sys, c, b, a), agg, grid).max() <= 1.0
 
     # the scalar evaluator, bit for bit, on every triple
     for triple, row_mass in zip(triples, mass):
@@ -644,7 +669,7 @@ def test_evaluate_many_equals_rule_by_rule_on_default_base(system):
     edges = np.array([0.0, 0.5, 1.0])
     x[:, :27] = [g.ravel() for g in np.meshgrid(edges, edges, edges, indexing="ij")]
     agg, grid = aggregate_by_rule(system, *x)
-    assert np.array_equal(evaluate_many(system, *x), (agg @ grid) / agg.sum(axis=1))
+    assert centroid_errors(evaluate_many(system, *x), agg, grid).max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +745,127 @@ def test_evaluate_many_equals_rule_by_rule_with_overlapping_terms(variables):
     x[:, :27] = [g.ravel() for g in np.meshgrid(edges, edges, edges, indexing="ij")]
     agg, grid = aggregate_by_rule(sys, *x)
     assert np.array_equal(_aggregate(sys, *x)[1], agg)
-    assert np.array_equal(evaluate_many(sys, *x), (agg @ grid) / agg.sum(axis=1))
+    assert centroid_errors(evaluate_many(sys, *x), agg, grid).max() <= 1.0
     for triple in x[:, :40].T:
         assert evaluate(sys, *triple).hex() == evaluate_by_rule(sys, *triple).hex()
+
+
+# ---------------------------------------------------------------------------
+# The centroid tables evaluate_many sums
+
+def check_count_below(table):
+    """_count_below counts as np.searchsorted does, ties and neighbours included."""
+    values = table.values[: table.values.size - table.depth]
+    assert np.isinf(table.values[values.size :]).all()
+    probes = np.r_[0.0, 5e-324, values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), 1.0]
+    assert np.array_equal(_count_below(table, probes), np.searchsorted(values, probes))
+    return values, probes
+
+
+def check_centroid_tables(var):
+    grid, runs = var.runs
+    mu = {t: mf.membership(grid) for t, mf in var.terms}
+    tables = var.centroid_tables
+    subsets = {
+        tuple(t for t, _ in sub)
+        for _, terms in runs
+        for k in range(len(terms))
+        for sub in itertools.combinations(terms, k + 1)
+    }
+    assert sorted(table.terms for table in tables) == sorted(subsets)
+    for table in tables:
+        assert table.odd == (len(table.terms) % 2 == 1)
+        t = functools.reduce(np.minimum, (mu[k] for k in table.terms))
+        cols = t != 0.0  # every column where the terms are nonzero together
+        values, probes = check_count_below(table)
+        assert np.array_equal(values, np.unique(t[cols]))
+        k = _count_below(table, probes)
+        mass, moment = (x.astype(float) for x in mass_and_moment(np.minimum(probes[:, None], t[cols]), grid[cols]))
+        assert np.allclose(table.mass[k] + probes * table.count[k], mass, rtol=1e-13, atol=5e-324)
+        assert np.allclose(table.moment[k] + probes * table.x_sum[k], moment, rtol=1e-13, atol=5e-324)
+    assert var.centroid_tables is tables  # derived once per variable
+    return tables
+
+
+def test_centroid_tables_of_the_default_output(variables):
+    # 7 terms and the 6 pairs of neighbours: 13 tables for the 21 (run, subset) pairs
+    assert len(check_centroid_tables(variables[1])) == 13
+
+
+def test_centroid_tables_of_overlapping_terms():
+    tables = check_centroid_tables(OVERLAP_OUTPUT)
+    assert max(len(table.terms) for table in tables) == 4
+
+
+special_strengths = st.sampled_from([0.0, 5e-324, 1e-300, 1.0])
+
+
+@st.composite
+def trapezoid_outputs(draw):
+    """An output variable of 2 to 4 trapezoids: two shoulders that overlap
+    about a random cut, so the universe is covered, and up to two free terms,
+    so a grid column has up to four nonzero terms."""
+    cut = draw(st.floats(0.2, 0.8))
+    left, right = (draw(st.floats(0.0, 0.15)) for _ in range(2))
+    terms = [
+        ("LEFT", trapezoidal(0.0, 0.0, cut - left, cut + 0.1)),
+        ("RIGHT", trapezoidal(cut - 0.1, cut + right, 1.0, 1.0)),
+    ]
+    for k in range(draw(st.integers(0, 2))):
+        pts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+        terms.append((f"FREE{k}", trapezoidal(*pts)))
+    return FuzzyVariable("weight", (0.0, 1.0), tuple(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(output=trapezoid_outputs(), data=st.data())
+def test_evaluate_many_closed_form_on_trapezoid_outputs(variables, output, data):
+    """Strengths of exactly 0, 5e-324, 1e-300 and values in the centroid
+    tables (searchsorted ties): inputs at 0, 0.5 and 1 give one input term
+    membership 1, so a rule whose clauses all read 1 has its weight as its
+    strength.  A NaN input has membership 0 in every term, as in the
+    rule-by-rule reference."""
+    inputs, _ = variables
+    grid, _ = output.runs
+    tie = st.builds(
+        lambda k, j: float(output.terms[k][1].membership(grid[j])),
+        st.integers(0, len(output.terms) - 1),
+        st.integers(0, CENTROID_POINTS - 1),
+    )
+    rule = st.builds(
+        lambda ants, term, w: Rule(tuple(ants), ("weight", term), w),
+        st.lists(clauses, min_size=1, max_size=2),
+        st.sampled_from(output.term_names()),
+        st.one_of(special_strengths, tie, st.floats(0.0, 1.0)),
+    )
+    sys = FuzzySystem(inputs, output, tuple(data.draw(st.lists(rule, min_size=1, max_size=8))))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.nan]), st.floats(-0.25, 1.25))
+    rows = data.draw(st.lists(st.tuples(value, value, value), min_size=1, max_size=20))
+    c, b, a = (np.array(x) for x in zip(*rows))
+
+    for table in output.centroid_tables:
+        check_count_below(table)
+    agg, grid = aggregate_by_rule(sys, c, b, a)
+    fired = agg.sum(axis=1) > 0.0
+    if not fired.all():
+        with pytest.raises(EmptyAggregateError):
+            evaluate_many(sys, c, b, a)
+    if fired.any():
+        w = evaluate_many(sys, c[fired], b[fired], a[fired])
+        assert centroid_errors(w, agg[fired], grid).max() <= 1.0
+
+
+def test_evaluate_many_allocates_no_grid_aggregate(system):
+    x = np.random.default_rng(49).uniform(0.0, 1.0, size=(3, 4096))
+    evaluate_many(system, *x)  # the tables are built once per variable
+    tracemalloc.start()
+    try:
+        evaluate_many(system, *x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (4096, 1001) aggregate alone would take 32.8 MB
+    assert peak < 4096 * CENTROID_POINTS * 8 / 32
 
 
 # ---------------------------------------------------------------------------

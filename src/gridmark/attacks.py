@@ -67,7 +67,8 @@ class Registration:
 
 def apply_registration(m: GridModel, reg: Registration) -> GridModel:
     pts = np.stack([m.x1, m.x2, m.x3])
-    out = np.einsum("ab,bij->aij", reg.rotation, pts) + reg.translation[:, None, None]
+    out = np.einsum("ab,bij->aij", reg.rotation, pts)
+    out += reg.translation[:, None, None]
     return GridModel(out[0], out[1], out[2])
 
 

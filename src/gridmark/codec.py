@@ -8,11 +8,12 @@ a fraction alpha of the way to the nearest value whose remainder mod q is
 the bit's target (distortion-compensated QIM).  Each block's alpha rises
 from ALPHA_MIN to 1 with its crisp fuzzy weight, so curved, bumpy blocks
 take close to the full step and flat ones little more than half of it;
-the change goes back along the atoms.  Extraction recomputes the
-reference surface and scale from the watermarked model alone, thresholds
-the remainder of every slot, majority-votes them per payload bit and
-unscrambles.  It needs no weights: since alpha > 1/2, every clean slot
-stays within q/4 of its target and reads back its bit.
+the change goes back along the atoms.  Extraction recomputes the slots,
+reference blocks and scale from the watermarked model alone, one (B, 64)
+block stack per direction, thresholds the remainder of every slot (by its
+fraction of q, with np.mod at the decision edges), majority-votes them per
+payload bit and unscrambles.  It needs no weights: since alpha > 1/2,
+every clean slot stays within q/4 of its target and reads back its bit.
 
 Slots form a (direction, subband, u, v) array.  Bit assignment shifts each
 (direction, subband) plane by a fixed stride before reducing mod W^2, so
@@ -28,6 +29,7 @@ HIGHER blocks carried payload) do not decode under this extractor.
 import functools
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,10 +41,11 @@ from .errors import (
     DegenerateModelError,
     InsufficientCapacityError,
     MalformedFileError,
+    NonFiniteValueError,
 )
 from .features import compute_weights, reference_surface
 from .fuzzy import default_rules_text, make_system, validate_watermark_system
-from .model_io import GridModel, WatermarkBitmap, read_text
+from .model_io import GridModel, WatermarkBitmap, read_text, validate_model
 from .wavelet import EMBED_ATOMS, add_atoms, embed_coefficients
 
 DIRECTION_ORDER = ("x1", "x2", "x3")
@@ -237,19 +240,47 @@ def quantize_embed_bit(c, bit, cfg: EmbedConfig):
 
 def read_bit(c, cfg: EmbedConfig):
     """1 iff the normalized coefficient's remainder mod q exceeds the
-    threshold 0.5q."""
+    threshold t = 0.5q: np.mod(c, q) > t, bit for bit.
+
+    Decided from fr = f - floor(f), f = c/q, in a few passes where np.mod
+    computes a full divmod; entries within E = 2^-51 (max|f| + 1) of fr =
+    0, 1/2 or 1 take np.mod itself.  Why that suffices, with u = 2^-53 and
+    z = c/q exactly: |f - z| <= 1.01u|f| + 2^-1075, and fr is exact but
+    for -1 < f < 0, where 1 + f rounds by <= u/2; so an fr more than
+    1.01u|f| + u from 0 and 1 has no integer between f and z, and
+    |fr - frac(z)| <= 1.01u|f| + u.  np.mod is q frac(z) exactly for
+    c >= 0 (fmod) and rounded for c < 0 (fmod + q); t = q/2 is exact (t
+    normal) and rounding monotone, so np.mod exceeds t iff frac(z) > 1/2,
+    save for frac(z) - 1/2 in (0, u/2].  E = 4u(max|f| + 1) exceeds these
+    errors together with the rounding of E, |fr - 1/2| and 1/2 - E.  A
+    non-finite or huge f (E >= 1/4) or a subnormal t sends every entry to
+    np.mod."""
     c = np.asarray(c, dtype=float)
-    bits = (np.mod(c, cfg.q) > cfg.t).astype(np.uint8)
+    v = c.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = v / cfg.q
+        fr = f - np.floor(f)
+        band = 2.0**-51 * (np.abs(f).max(initial=0.0) + 1.0)
+    if band < 0.25 and cfg.t >= sys.float_info.min:
+        bits = (fr > 0.5).view(np.uint8)
+        g = np.abs(fr - 0.5)
+        edge = np.flatnonzero((g <= band) | (g >= 0.5 - band))
+        bits[edge] = np.mod(v[edge], cfg.q) > cfg.t
+    else:
+        bits = (np.mod(v, cfg.q) > cfg.t).view(np.uint8)
+    bits = bits.reshape(c.shape)
     return int(bits) if bits.ndim == 0 else bits
 
 
 # ---------------------------------------------------------------------------
 # Normalization scale
 
-# The quantiles of np.percentile(x, [1, 99]), computed as it computes them.
-_PERCENTILE_Q = np.true_divide([1.0, 99.0], 100)
 # Size of the strided sample that bounds the two tails.
 _TAIL_SAMPLE = 4096
+
+
+def _lerp(a, b, g):
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 def _p1_p99(x):
@@ -257,11 +288,10 @@ def _p1_p99(x):
     two tails of x; see normalization_scale."""
     flat = x.reshape(-1)
     n = flat.size
-    virtual = (n - 1) * _PERCENTILE_Q
-    below = np.floor(virtual)
-    gamma = virtual - below
-    k = below.astype(np.intp)
-    ranks = np.minimum(np.concatenate([k, k + 1]), n - 1)  # lo, hi, lo + 1, hi + 1
+    # np.percentile's ranks and fractions, for quantiles 1/100 and 99/100
+    k_lo, k_hi = math.floor((n - 1) * 0.01), math.floor((n - 1) * 0.99)
+    g_lo, g_hi = (n - 1) * 0.01 - k_lo, (n - 1) * 0.99 - k_hi
+    ranks = tuple(min(k, n - 1) for k in (k_lo, k_hi, k_lo + 1, k_hi + 1))
     stride = max(1, n // _TAIL_SAMPLE)
     while math.gcd(stride, x.shape[-1]) != 1:  # sample every column
         stride += 1
@@ -272,13 +302,22 @@ def _p1_p99(x):
     if tlo < thi:
         kept = flat[(flat <= tlo) | (flat >= thi)]
         n_lo = np.count_nonzero(kept <= tlo)
-        if n_lo >= k[0] + 2 and kept.size - n_lo >= n - k[1]:
+        if n_lo >= k_lo + 2 and kept.size - n_lo >= n - k_hi:
             cand = kept
-            ranks[[1, 3]] -= n - kept.size
-    v = np.partition(cand, ranks)[ranks]
-    a, b = v[:2], v[2:]
-    diff = b - a
-    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+            shift = n - kept.size
+            ranks = (ranks[0], ranks[1] - shift, ranks[2], ranks[3] - shift)
+    a_lo, a_hi, b_lo, b_hi = np.partition(cand, ranks)[list(ranks)].tolist()
+    return _lerp(a_lo, b_lo, g_lo), _lerp(a_hi, b_hi, g_hi)
+
+
+def _robust_extent(coords):
+    """normalization_scale over the values of x1, x2, x3, any shape each."""
+    lo, hi = np.array([_p1_p99(x) for x in coords]).T
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        s = float(np.linalg.norm(hi - lo))
+    if s == 0.0 or not math.isfinite(s):
+        raise DegenerateModelError(f"model has robust extent {s}; cannot normalize")
+    return s
 
 
 def normalization_scale(ref: GridModel) -> float:
@@ -304,12 +343,7 @@ def normalization_scale(ref: GridModel) -> float:
     A scale of 0 (a flat surface) or one that overflows to inf (ranges
     past ~1e154) raises DegenerateModelError: dividing by it would read
     every coefficient as 0."""
-    lo, hi = np.array([_p1_p99(x) for x in (ref.x1, ref.x2, ref.x3)]).T
-    with np.errstate(over="ignore"):  # an overflow to inf is refused below
-        s = float(np.linalg.norm(hi - lo))
-    if s == 0.0 or not math.isfinite(s):
-        raise DegenerateModelError(f"model has robust extent {s}; cannot normalize")
-    return s
+    return _robust_extent((ref.x1, ref.x2, ref.x3))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +371,29 @@ def extract(m: GridModel, w: int, cfg: EmbedConfig) -> WatermarkBitmap:
     vote decodes as the parity of the scrambled bit index.  A side no
     embed could have used (fewer than w^2 slots) raises
     InsufficientCapacityError."""
-    if w < 1:
-        raise BadParameterError(f"watermark side must be positive, got {w}")
-    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
-    s = normalization_scale(reference_surface(m, cfg.directions, c))
+    if not isinstance(w, (int, np.integer)) or isinstance(w, bool) or w < 1:
+        raise BadParameterError(f"watermark side must be a positive integer, got {w!r}")
+    nb = validate_model(m).n // 8
+    coefs, coords = [], []
+    for name in DIRECTION_ORDER:
+        x = m.matrix(name)
+        if name in cfg.directions:
+            # the block stack; the matmul operands of embed_coefficients and
+            # add_atoms, so coefficients and reference blocks keep their bits
+            x = x.reshape(nb, 8, nb, 8).swapaxes(1, 2).copy().reshape(nb * nb, 64)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                c = x @ EMBED_ATOMS.T
+                x += (-c) @ EMBED_ATOMS
+            if not np.isfinite(x).all():
+                raise NonFiniteValueError(f"the reference surface of {name} is not finite")
+            coefs.append(c)
+        coords.append(x)
+    s = _robust_extent(coords)  # percentiles do not depend on the values' order
     idx = SlotMap(m.n, w, cfg.directions).bit.ravel()
-    twice_ones = 2 * np.bincount(idx, weights=read_bit(c / s, cfg).ravel(), minlength=w * w)
+    c = np.stack(coefs)
+    c /= s
+    reads = read_bit(c, cfg).swapaxes(1, 2).ravel()  # slot order: direction, atom, block
+    twice_ones = 2 * np.bincount(idx, weights=reads, minlength=w * w)
     total = np.bincount(idx, minlength=w * w)
     bits = np.where(twice_ones == total, np.arange(w * w) % 2, twice_ones > total).astype(np.uint8)
     return WatermarkBitmap(unscramble(bits.reshape(w, w), cfg.key))

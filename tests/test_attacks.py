@@ -111,6 +111,31 @@ def test_translate_and_registration(bumps64):
     assert np.abs(back.x2 - bumps64.x2).max() <= 1e-9
 
 
+# apply_registration before it added the translation in place: the
+# rotated points and the translated copy as two arrays.
+def _register_two_step(m, reg):
+    pts = np.stack([m.x1, m.x2, m.x3])
+    out = np.einsum("ab,bij->aij", reg.rotation, pts) + reg.translation[:, None, None]
+    return GridModel(out[0], out[1], out[2])
+
+
+@pytest.mark.parametrize("text", [t for t in BATTERY_TEXTS if t.startswith(("rotate", "translate"))])
+def test_registration_equals_two_step_form_on_battery(bumps64, text):
+    attacked, reg = apply(bumps64, parse_attack(text))
+    got, want = apply_registration(attacked, reg), _register_two_step(attacked, reg)
+    for name in ("x1", "x2", "x3"):
+        assert np.array_equal(got.matrix(name), want.matrix(name)), name
+
+
+def test_registration_equals_two_step_form_about_a_skew_axis(bumps64):
+    attacked, reg = rotate(bumps64, (1.0, 2.0, 3.0), 0.9)
+    moved = Registration(reg.rotation, np.array([1.5, -2.25, 3.0]))
+    for r in (reg, moved):
+        got, want = apply_registration(attacked, r), _register_two_step(attacked, r)
+        for name in ("x1", "x2", "x3"):
+            assert np.array_equal(got.matrix(name), want.matrix(name)), name
+
+
 def test_scale_exact(bumps64):
     doubled = scale(bumps64, 2.0)
     for name in ("x1", "x2", "x3"):

@@ -23,8 +23,10 @@ from gridmark.codec import (
 from gridmark.errors import (
     BadParameterError,
     DegenerateModelError,
+    DimensionError,
     InsufficientCapacityError,
     MalformedFileError,
+    NonFiniteValueError,
 )
 from gridmark.features import compute_weights, reference_surface
 from gridmark.fuzzy import default_rules_text
@@ -32,6 +34,7 @@ from gridmark.metrics import ber, corr2, psnr
 from gridmark.model_io import GridModel, MODEL_KINDS, WatermarkBitmap
 from gridmark.wavelet import (
     ALL_LEVEL3_BANDS,
+    EMBED_ATOMS,
     EMBED_BANDS,
     add_atoms,
     decompose3,
@@ -79,6 +82,71 @@ def test_read_bit_vectorized():
     out = read_bit(np.array([0.1275, 0.1225, -0.0075]), CFG01)
     assert out.dtype == np.uint8
     assert np.array_equal(out, [1, 0, 0])
+
+
+def _read_by_mod(c, cfg):
+    """read_bit's definition: np.mod's remainder against the threshold."""
+    return (np.mod(c, cfg.q) > cfg.t).astype(np.uint8)
+
+
+def _ulps(x, k):
+    """x moved k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+# A normal, a power-of-two, a large and a tiny q; 5e-324 and 1e-310 give a
+# subnormal threshold, which q * 0.5 rounds.
+READ_QS = (0.005, 0.123, 2.0**-8, 1e300, 1e-300, 1e-310, 5e-324)
+
+
+@st.composite
+def _remainder_edges(draw):
+    q = draw(st.sampled_from(READ_QS))
+    kind = draw(st.sampled_from(["multiple", "half", "zero", "subnormal", "huge", "normal"]))
+    if kind in ("multiple", "half"):  # k q and (k + 1/2) q, 1-2 ulps either side
+        k = draw(st.integers(-(10**7), 10**7)) + (0.5 if kind == "half" else 0.0)
+        return q, _ulps(k * q, draw(st.integers(-2, 2)))
+    if kind == "zero":
+        return q, draw(st.sampled_from([0.0, -0.0]))
+    if kind == "subnormal":
+        return q, draw(st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True))
+    if kind == "huge":
+        return q, draw(st.sampled_from([1e300, -1e300]))
+    return q, draw(st.floats(-1.0, 1.0)) * draw(st.sampled_from([1.0, 1e3, 1e6]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_remainder_edges(), min_size=1, max_size=40))
+def test_read_bit_equals_np_mod(pairs):
+    by_q = {}
+    for q, v in pairs:
+        by_q.setdefault(q, []).append(v)
+    for q, values in by_q.items():
+        cfg = EmbedConfig(q=q)
+        v = np.array(values)
+        got = read_bit(v, cfg)
+        assert got.dtype == np.uint8 and got.shape == v.shape
+        assert np.array_equal(got, _read_by_mod(v, cfg)), (q, values)
+        one = read_bit(values[0], cfg)
+        assert type(one) is int and one == _read_by_mod(values[0], cfg)
+
+
+@pytest.mark.parametrize("q", [0.005, 0.01, 0.123, 2.0**-8, 3.0])
+def test_read_bit_equals_np_mod_at_every_decision_edge(q):
+    # k q and (k + 1/2) q for |k| <= 20000, and 1-2 ulps either side, at
+    # unit scale and past it: every entry np.mod decides within an ulp
+    cfg = EmbedConfig(q=q)
+    k = np.arange(-20000, 20001, dtype=float)
+    base = np.concatenate([k * q, (k + 0.5) * q, k * q * 1e6])
+    down1 = np.nextafter(base, -np.inf)
+    up1 = np.nextafter(base, np.inf)
+    v = np.concatenate([base, down1, np.nextafter(down1, -np.inf), up1, np.nextafter(up1, np.inf)])
+    got = read_bit(v.reshape(5, -1), cfg)
+    assert got.dtype == np.uint8 and got.shape == (5, base.size)
+    assert np.array_equal(got.ravel(), _read_by_mod(v, cfg))
+    assert 0 < got.sum() < got.size
 
 
 def test_quantize_roundtrip_batch(default_cfg):
@@ -380,6 +448,93 @@ def test_one_projection_equals_two(kind, desk_models, desk_marked, wm32, default
     noisy, _ = apply(desk_marked[kind], parse_attack("randomnoise:a=0.5,seed=103"))
     for model in (desk_marked[kind], noisy):
         assert np.array_equal(extract(model, 32, default_cfg).bits, _extract_projecting_twice(model, 32, default_cfg).bits)
+
+
+# extract before it read each block stack once: the reference surface as a
+# GridModel, np.percentile's scale of it and np.mod's threshold test.
+
+def _extract_via_reference_surface(m, w, cfg):
+    if w < 1:
+        raise BadParameterError(f"watermark side must be positive, got {w}")
+    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
+    s = _percentile_scale(reference_surface(m, cfg.directions, c))
+    idx = SlotMap(m.n, w, cfg.directions).bit.ravel()
+    twice_ones = 2 * np.bincount(idx, weights=_read_by_mod(c / s, cfg).ravel(), minlength=w * w)
+    total = np.bincount(idx, minlength=w * w)
+    bits = np.where(twice_ones == total, np.arange(w * w) % 2, twice_ones > total).astype(np.uint8)
+    return WatermarkBitmap(unscramble(bits.reshape(w, w), cfg.key))
+
+
+@pytest.mark.parametrize("n, w", [(64, 16), (256, 32), (512, 64)])
+@pytest.mark.parametrize("kind", ["bumps", "harmonic", "meshgrid"])
+def test_extract_equals_reference_surface_oracle(kind, n, w, default_cfg, monkeypatch):
+    # the clean model, the marked one and every battery row, registered
+    # as gridmark bench registers them
+    m = generate_model(kind, n, 0)
+    wm = WatermarkBitmap(np.random.default_rng(11).integers(0, 2, (w, w), dtype=np.uint8))
+    marked = embed(m, wm, default_cfg)
+    models = [m, marked]
+    for spec in BENCH_BATTERY:
+        attacked, reg = apply(marked, parse_attack(spec))
+        models.append(attacked if reg is None else apply_registration(attacked, reg))
+    sizes = _spy_partitions(monkeypatch)
+    for spec, model in zip(["clean", "none", *BENCH_BATTERY], models):
+        sizes.clear()
+        got = extract(model, w, default_cfg)
+        # from n=256 the ~4096-value sample is a fraction of a block stack,
+        # and only the tails it bounds were partitioned
+        assert n < 256 or max(sizes) < n**2 // 4, spec
+        assert np.array_equal(got.bits, _extract_via_reference_surface(model, w, default_cfg).bits), spec
+
+
+def _overflowing_reference():
+    """An 8x8 model whose x1 block has finite coefficients (|c| <= 1.2e308)
+    but a reference that passes the float range at (0, 0): x1 is 1.6e308
+    there and -1.6e308 times the sign of the projection's weight elsewhere."""
+    weight = EMBED_ATOMS.T @ EMBED_ATOMS[:, 0]
+    x1 = -1.6e308 * np.sign(weight)
+    x1[0] = 1.6e308
+    zeros = np.zeros((8, 8))
+    return GridModel(x1.reshape(8, 8), zeros, zeros)
+
+
+@pytest.mark.parametrize(
+    "make, w, error",
+    [
+        (lambda: GridModel(*(np.full((16, 16), 3.0) for _ in range(3))), 2, DegenerateModelError),
+        (lambda: scale(generate_model("bumps", 64, 0), 1e160), 8, DegenerateModelError),
+        (_overflowing_reference, 1, NonFiniteValueError),
+        (lambda: generate_model("bumps", 64, 0), 33, InsufficientCapacityError),
+        (lambda: GridModel(*np.random.default_rng(0).normal(size=(3, 12, 12))), 2, DimensionError),
+    ],
+    ids=["flat", "overflowing-scale", "overflowing-reference", "oversized-w", "side-not-multiple-of-8"],
+)
+def test_extract_errors_match_the_oracle(make, w, error, default_cfg):
+    m = make()
+    with pytest.raises(error):
+        extract(m, w, default_cfg)
+    with np.errstate(all="ignore"), pytest.raises(error):
+        _extract_via_reference_surface(m, w, default_cfg)
+
+
+@pytest.mark.parametrize("w", [8.0, True, "8", np.bool_(True), -1, 0])
+def test_extract_refuses_a_side_that_is_not_a_positive_integer(small_marked, default_cfg, w):
+    with pytest.raises(BadParameterError):
+        extract(small_marked, w, default_cfg)
+
+
+def test_extract_takes_a_numpy_integer_side(small_marked, wm16, default_cfg):
+    assert np.array_equal(extract(small_marked, np.int64(16), default_cfg).bits, wm16.bits)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_extract_leaves_its_input_alone(n, default_cfg):
+    # at n=8 the block stack of a matrix is a reshape of it, not a copy
+    m = generate_model("bumps", n, 0)
+    before = [m.matrix(name).copy() for name in ("x1", "x2", "x3")]
+    extract(m, 2, default_cfg)
+    for name, x in zip(("x1", "x2", "x3"), before):
+        assert np.array_equal(m.matrix(name), x), name
 
 
 # The codec before the weight set the step: only HIGH/HIGHER blocks carry

@@ -205,7 +205,8 @@ def translate(m: GridModel, dx: float, dy: float, dz: float):
 def scale(m: GridModel, k: float) -> GridModel:
     if not k > 0:
         raise BadParameterError(f"scale factor must be positive, got {k}")
-    return GridModel(k * m.x1, k * m.x2, k * m.x3)
+    with np.errstate(over="ignore"):  # GridModel refuses a product past the float range
+        return GridModel(k * m.x1, k * m.x2, k * m.x3)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +409,11 @@ def crop(m: GridModel, p: float) -> GridModel:
     out = {}
     for name in _AXES:
         mat = m.matrix(name).copy()
-        mat[:side, :side] = m.matrix(name).mean()
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = mat.mean()
+        if not math.isfinite(mean):  # the sum passed the float range, the mean cannot
+            mean = (mat / mat.size).sum()
+        mat[:side, :side] = mean
         out[name] = mat
     return GridModel(**out)
 

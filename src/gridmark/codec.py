@@ -1,16 +1,16 @@
 """Embedding and blind extraction.
 
-Pipeline (embed): scramble the watermark, project each 8x8 block of each
-embedding direction matrix onto the 8 embedding atoms (its 8 level-3
-detail coefficients; the same projection, subtracted, gives the reference
-surface), divide by the model's normalization scale, and move every slot
-a fraction alpha of the way to the nearest value whose remainder mod q is
-the bit's target (distortion-compensated QIM).  Each block's alpha rises
-from ALPHA_MIN to 1 with its crisp fuzzy weight, so curved, bumpy blocks
-take close to the full step and flat ones little more than half of it;
-the change goes back along the atoms.  Extraction recomputes the slots,
-reference blocks and scale from the watermarked model alone, one (B, 64)
-block stack per direction, thresholds the remainder of every slot (by its
+Pipeline (embed): scramble the watermark, project the (B, 64) block stack
+of each embedding direction matrix onto the 8 embedding atoms
+(features.project: the 8 level-3 detail coefficients of every 8x8 block,
+and the stack with them removed, the reference surface), divide by the
+reference's normalization scale, and move every slot a fraction alpha of
+the way to the nearest value whose remainder mod q is the bit's target
+(distortion-compensated QIM).  Each block's alpha rises from ALPHA_MIN to
+1 with its crisp fuzzy weight, so curved, bumpy blocks take close to the
+full step and flat ones little more than half of it; the change goes back
+along the atoms.  Extraction runs the same projection and scale on the
+watermarked model alone, thresholds the remainder of every slot (by its
 fraction of q, with np.mod at the decision edges), majority-votes them per
 payload bit and unscrambles.  It needs no weights: since alpha > 1/2,
 every clean slot stays within q/4 of its target and reads back its bit.
@@ -41,12 +41,11 @@ from .errors import (
     DegenerateModelError,
     InsufficientCapacityError,
     MalformedFileError,
-    NonFiniteValueError,
 )
-from .features import compute_weights, reference_surface
+from .features import compute_weights, project
 from .fuzzy import default_rules_text, make_system, validate_watermark_system
-from .model_io import GridModel, WatermarkBitmap, read_text, validate_model
-from .wavelet import EMBED_ATOMS, add_atoms, embed_coefficients
+from .model_io import GridModel, WatermarkBitmap, read_text
+from .wavelet import EMBED_ATOMS, add_atoms, from_block_stack
 
 DIRECTION_ORDER = ("x1", "x2", "x3")
 
@@ -187,24 +186,25 @@ class SlotMap:
     one bit never sits in a single subband: with N=256, W=32 and two
     directions every bit owns exactly one slot in each of the 16 planes,
     16 scattered positions.  Fewer than W^2 slots raise
-    InsufficientCapacityError.
+    InsufficientCapacityError.  votes[k] is the number of slots of bit k.
     """
 
     n: int
     w: int
     directions: tuple
     bit: np.ndarray = field(init=False)
+    votes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.bit = _slot_bits(self.n, self.w, tuple(self.directions))
+        self.bit, self.votes = _slot_bits(self.n, self.w, tuple(self.directions))
 
 
 # A few (n, w, directions) at a time: a process marks one size of model
 # with one watermark side, and at n=4096 one map takes 32 MB.
 @functools.lru_cache(maxsize=4)
 def _slot_bits(n, w, directions):
-    """SlotMap's bit array, built once per key and shared read-only by every
-    embed and extract with that key."""
+    """SlotMap's bit and votes arrays, built once per key and shared
+    read-only by every embed and extract with that key."""
     nb = n // 8
     slot = np.arange(len(directions) * len(EMBED_ATOMS) * nb * nb, dtype=np.int64)
     if slot.size < w**2:
@@ -213,9 +213,10 @@ def _slot_bits(n, w, directions):
     # passes land far apart in both grid axes and in row parity
     stride = 5 * nb + 7
     bit = (slot + (slot // w**2) * stride) % w**2
+    votes = np.bincount(bit, minlength=w**2)
     bit = bit.reshape(len(directions), len(EMBED_ATOMS), nb, nb)
-    bit.flags.writeable = False
-    return bit
+    bit.flags.writeable = votes.flags.writeable = False
+    return bit, votes
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +347,13 @@ def normalization_scale(ref: GridModel) -> float:
     return _robust_extent((ref.x1, ref.x2, ref.x3))
 
 
+def _reference_extent(m: GridModel, directions, stacks):
+    """normalization_scale of the reference surface with project's stacks;
+    percentiles do not depend on the values' order."""
+    ref = dict(zip(directions, stacks))
+    return _robust_extent([ref.get(name, m.matrix(name)) for name in DIRECTION_ORDER])
+
+
 # ---------------------------------------------------------------------------
 # Embed / extract
 
@@ -353,12 +361,14 @@ def embed(m: GridModel, wm: WatermarkBitmap, cfg: EmbedConfig) -> GridModel:
     """Move every slot a block-dependent fraction alpha of the way to its
     quantized value: alpha = ALPHA_MIN + (1 - ALPHA_MIN) * w for the
     block's crisp fuzzy weight w."""
-    c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
-    ref = reference_surface(m, cfg.directions, c)
+    nb = m.n // 8
+    coefs, stacks = project(m, cfg.directions)
     smap = SlotMap(m.n, wm.w, cfg.directions)
-    s = normalization_scale(ref)
+    s = _reference_extent(m, cfg.directions, stacks)
+    ref = m.replace(**{name: from_block_stack(x) for name, x in zip(cfg.directions, stacks)})
     alpha = ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(ref, cfg.system()).weight
 
+    c = np.stack([x.T.reshape(8, nb, nb) for x in coefs])
     sbits = scramble(wm.bits, cfg.key).ravel()
     delta = alpha * (quantize_embed_bit(c / s, sbits[smap.bit], cfg) * s - c)
     out = {name: add_atoms(m.matrix(name), delta[di]) for di, name in enumerate(cfg.directions)}
@@ -373,27 +383,12 @@ def extract(m: GridModel, w: int, cfg: EmbedConfig) -> WatermarkBitmap:
     InsufficientCapacityError."""
     if not isinstance(w, (int, np.integer)) or isinstance(w, bool) or w < 1:
         raise BadParameterError(f"watermark side must be a positive integer, got {w!r}")
-    nb = validate_model(m).n // 8
-    coefs, coords = [], []
-    for name in DIRECTION_ORDER:
-        x = m.matrix(name)
-        if name in cfg.directions:
-            # the block stack; the matmul operands of embed_coefficients and
-            # add_atoms, so coefficients and reference blocks keep their bits
-            x = x.reshape(nb, 8, nb, 8).swapaxes(1, 2).copy().reshape(nb * nb, 64)
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                c = x @ EMBED_ATOMS.T
-                x += (-c) @ EMBED_ATOMS
-            if not np.isfinite(x).all():
-                raise NonFiniteValueError(f"the reference surface of {name} is not finite")
-            coefs.append(c)
-        coords.append(x)
-    s = _robust_extent(coords)  # percentiles do not depend on the values' order
-    idx = SlotMap(m.n, w, cfg.directions).bit.ravel()
+    coefs, stacks = project(m, cfg.directions)
+    s = _reference_extent(m, cfg.directions, stacks)
+    smap = SlotMap(m.n, w, cfg.directions)
     c = np.stack(coefs)
     c /= s
     reads = read_bit(c, cfg).swapaxes(1, 2).ravel()  # slot order: direction, atom, block
-    twice_ones = 2 * np.bincount(idx, weights=reads, minlength=w * w)
-    total = np.bincount(idx, minlength=w * w)
-    bits = np.where(twice_ones == total, np.arange(w * w) % 2, twice_ones > total).astype(np.uint8)
+    twice_ones = 2 * np.bincount(smap.bit.ravel(), weights=reads, minlength=w * w)
+    bits = np.where(twice_ones == smap.votes, np.arange(w * w) % 2, twice_ones > smap.votes).astype(np.uint8)
     return WatermarkBitmap(unscramble(bits.reshape(w, w), cfg.key))

@@ -5,7 +5,8 @@ Every level-3 detail coefficient at position (u, v) is supported by the
 block position feeds all 8 embedding subbands that share it.  Features
 are computed on a reference surface with each block's projection onto the
 8 embedding atoms removed, which makes the weights independent of the
-payload.
+payload.  project computes both, as block stacks, for embed, extract and
+reference_surface.
 
 Features per block of the surface S(i,j) = (x1, x2, x3):
   curvature  mean Euclidean norm of the 5-point discrete Laplacian of S
@@ -20,13 +21,14 @@ The blocks are evaluated in batched passes over three (B, 8, 8) stacks of
 the surface's blocks, one per coordinate.  The Laplacian, the edge
 vectors and the cross products are written out per coordinate, a
 3-vector norm is sqrt(a*a + b*b + c*c), and the centred points are
-stacked into (B, 64, 3) only for the one batched SVD.  raw_features cuts
-the stacks into 256-block chunks (see chunks.py) and runs them across the
-usable CPUs.  Each reduction runs over one contiguous per-block row (36
+stacked into (B, 64, 3) only for the one batched SVD.  raw_features maps
+the kernel over 256-block slices of the stacks on a thread pool with one
+thread per usable CPU; numpy's SVD, elementwise arithmetic and reductions
+release the GIL.  Each reduction runs over one contiguous per-block row (36
 Laplacian norms, 49 cell areas, 64 points) in the order a block-by-block
 loop sums it, so the features are bit-identical to that loop's, and a
 block's features do not depend on whether it is evaluated alone, in a
-chunk or with the rest of the surface, nor on the thread count.
+slice or with the rest of the surface, nor on the thread count.
 
 Raw features are normalized per channel to [0,1] by a robust percentile
 map; the fuzzy system turns them into a crisp weight, which sets the
@@ -38,33 +40,49 @@ codec does not read.
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chunks import map_chunks
-from .errors import DegenerateModelError
+from .errors import DegenerateModelError, NonFiniteValueError
 from .fuzzy import FuzzySystem, OUTPUT_TERMS, evaluate_many, weight_class_many
 from .model_io import GridModel, validate_model
-from .wavelet import add_atoms, embed_coefficients
+from .wavelet import EMBED_ATOMS, from_block_stack, to_block_stack
 
 ELIGIBLE_TERMS = ("HIGH", "HIGHER")
 
 _ELIGIBLE_INDICES = tuple(OUTPUT_TERMS.index(t) for t in ELIGIBLE_TERMS)
 
 
-def reference_surface(m: GridModel, directions, coefficients=None) -> GridModel:
-    """Each embedding direction, named in directions (as in
-    EmbedConfig.directions), minus its projection onto the 8 embedding
-    atoms (its 8 embedding subbands zeroed); other directions unchanged.
-
-    coefficients, if given, is that projection: one embed_coefficients
-    array per direction, in the order of directions, so a caller that
-    already holds it does not project the model again."""
+def project(m: GridModel, directions):
+    """Split each direction named in directions (as in EmbedConfig.directions)
+    into its projection onto the 8 embedding atoms and the rest.  Returns two
+    lists in the order of directions: the (B, 8) coefficients of each
+    direction's block stack, and the (B, 64) block stack of its reference
+    surface, a fresh array the caller may keep.  A reference that passes the
+    float range raises NonFiniteValueError."""
     validate_model(m)
-    if coefficients is None:
-        coefficients = [embed_coefficients(m.matrix(name)) for name in directions]
-    return m.replace(**{name: add_atoms(m.matrix(name), -c) for name, c in zip(directions, coefficients)})
+    coefficients, stacks = [], []
+    for name in directions:
+        x = to_block_stack(m.matrix(name))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            c = x @ EMBED_ATOMS.T
+            x += (-c) @ EMBED_ATOMS
+        if not np.isfinite(x).all():
+            raise NonFiniteValueError(f"the reference surface of {name} is not finite")
+        coefficients.append(c)
+        stacks.append(x)
+    return coefficients, stacks
+
+
+def reference_surface(m: GridModel, directions) -> GridModel:
+    """Each embedding direction, named in directions, minus its projection
+    onto the 8 embedding atoms (its 8 embedding subbands zeroed); other
+    directions unchanged."""
+    _, stacks = project(m, directions)
+    return m.replace(**{name: from_block_stack(x) for name, x in zip(directions, stacks)})
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +91,7 @@ def reference_surface(m: GridModel, directions, coefficients=None) -> GridModel:
 def _block_points(ref: GridModel):
     """The 8x8 blocks of ref as three contiguous (B, 8, 8) stacks, one per
     coordinate (x1, x2, x3), row-major over block positions."""
-    out = []
-    for x in (ref.x1, ref.x2, ref.x3):
-        nr, nc = x.shape[0] // 8, x.shape[1] // 8
-        x = x[: 8 * nr, : 8 * nc].reshape(nr, 8, nc, 8).swapaxes(1, 2)
-        out.append(x.reshape(nr * nc, 8, 8))
-    return tuple(out)
+    return tuple(to_block_stack(x).reshape(-1, 8, 8) for x in (ref.x1, ref.x2, ref.x3))
 
 
 def _norm3(a, b, c):
@@ -107,7 +120,7 @@ def _features(blocks):
     A block whose squares or sums pass the float range gets inf or NaN
     features, without a RuntimeWarning, and compute_weights refuses them.
     numpy's error state is per thread, so it is set here, on the thread that
-    runs the kernel, not around map_chunks."""
+    runs the kernel, not around the pool."""
     count = len(blocks[0])
 
     curvature = _norm3(*map(_laplacian, blocks)).reshape(count, 36).mean(axis=1)
@@ -170,11 +183,21 @@ class WeightField:
         return self.weight.shape[0]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def raw_features(ref: GridModel) -> FeatureField:
     """Raw features of every block position, as (N/8, N/8) arrays."""
     nb = ref.n // 8
-    fields = map_chunks(lambda *blocks: _features(blocks), *_block_points(ref))
-    return FeatureField(*(x.reshape(nb, nb) for x in fields))
+    blocks = _block_points(ref)
+    slices = [slice(i, i + 256) for i in range(0, nb * nb, 256)]
+    with ThreadPoolExecutor(_usable_cpus()) as pool:
+        parts = list(pool.map(lambda rows: _features([x[rows] for x in blocks]), slices))
+    return FeatureField(*(np.concatenate(channel).reshape(nb, nb) for channel in zip(*parts)))
 
 
 def _normalize_channel(x: np.ndarray) -> np.ndarray:

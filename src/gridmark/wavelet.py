@@ -18,8 +18,11 @@ ch/cv bands, in canonical order, are the embedding target of the codec.
 Each of those coefficients at (u, v) is the inner product of the 8x8 block
 at rows 8u.., cols 8v.. with one fixed atom (EMBED_ATOMS, entries +-1/8),
 which is all the codec uses; the tree is the definition the atoms come from.
+to_block_stack and from_block_stack hold that 8x8 block layout: a matrix
+as one (B, 64) stack of its blocks, and back.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,12 +211,27 @@ def _impulse_responses():
 EMBED_ATOMS = _impulse_responses()
 
 
+def to_block_stack(m):
+    """The 8x8 blocks of a square matrix (side a positive multiple of 8) as a
+    fresh C-contiguous (nb*nb, 64) array: row u*nb + v is the block at rows
+    8u.., cols 8v.., read row-major.  A copy even at side 8, where the
+    reshape alone would be a view of m."""
+    m = _check_blocked(m)
+    nb = m.shape[0] // 8
+    return m.reshape(nb, 8, nb, 8).swapaxes(1, 2).copy().reshape(nb * nb, 64)
+
+
+def from_block_stack(stack):
+    """The (8nb, 8nb) matrix whose to_block_stack is the (nb*nb, 64) stack."""
+    nb = math.isqrt(len(stack))
+    return np.reshape(stack, (nb, nb, 8, 8)).swapaxes(1, 2).reshape(8 * nb, 8 * nb)
+
+
 def embed_coefficients(m):
     """The 8 embedding bands of decompose3(m), as one (8, nb, nb) array."""
     m = _check_blocked(m)
     nb = m.shape[0] // 8
-    blocks = m.reshape(nb, 8, nb, 8).swapaxes(1, 2).reshape(nb * nb, 64)
-    return (blocks @ EMBED_ATOMS.T).T.reshape(8, nb, nb)
+    return (to_block_stack(m) @ EMBED_ATOMS.T).T.reshape(8, nb, nb)
 
 
 def add_atoms(m, delta):
@@ -224,5 +242,4 @@ def add_atoms(m, delta):
     nb = m.shape[0] // 8
     if np.shape(delta) != (8, nb, nb):
         raise DimensionError(f"delta must have shape {(8, nb, nb)}, got {np.shape(delta)}")
-    step = np.reshape(delta, (8, nb * nb)).T @ EMBED_ATOMS
-    return m + step.reshape(nb, nb, 8, 8).swapaxes(1, 2).reshape(m.shape)
+    return m + from_block_stack(np.reshape(delta, (8, nb * nb)).T @ EMBED_ATOMS)

@@ -52,9 +52,9 @@ def small_marked(small_model, wm16, default_cfg):
 
 @pytest.fixture(params=[1, 4], ids=["loop", "pool"])
 def chunk_workers(request, monkeypatch):
-    """Run chunked kernels as a plain loop (one usable CPU) or on four
-    threads, the caller and three pool workers, whatever the machine has."""
-    from gridmark import chunks
+    """Run the block-feature slices on a pool of one thread or of four,
+    whatever the machine has."""
+    from gridmark import features
 
-    monkeypatch.setattr(chunks, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(features, "_usable_cpus", lambda: request.param)
     return request.param

@@ -35,7 +35,7 @@ from gridmark.attacks import (
     translate,
 )
 from gridmark.cli import BENCH_BATTERY
-from gridmark.errors import BadParameterError, MalformedFileError
+from gridmark.errors import BadParameterError, MalformedFileError, NonFiniteValueError
 from gridmark.model_io import GridModel, generate_model
 
 BATTERY_TEXTS = (
@@ -57,6 +57,12 @@ BATTERY_TEXTS = (
 @pytest.fixture(scope="module")
 def bumps64():
     return generate_model("bumps", 64, seed=2)
+
+
+def near_float_limit():
+    """bumps-64 scaled to |x| <= 1e307: finite, but x3's sum passes the float range."""
+    m = generate_model("bumps", 64, seed=0)
+    return scale(m, 1e307 / max(np.abs(m.matrix(name)).max() for name in ("x1", "x2", "x3")))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +203,12 @@ def test_random_noise_bounds_and_determinism(bumps64):
         assert abs(delta.mean()) <= 0.01 * rc
         assert np.array_equal(out.matrix(name), again.matrix(name))
     assert not np.array_equal(out.x3, other.x3)
+
+
+def test_scale_past_the_float_range_is_refused():
+    # the suite turns the product's overflow warning into an error
+    with pytest.raises(NonFiniteValueError):
+        scale(near_float_limit(), 100.0)
 
 
 def test_random_noise_zero_amplitude(bumps64):
@@ -456,6 +468,19 @@ def test_crop_block_sides():
             assert att[side, side] == mat[side, side]
             assert np.array_equal(att[side:, :], mat[side:, :])
             assert np.array_equal(att[:, side:], mat[:, side:])
+
+
+def test_crop_near_the_float_range_fills_a_finite_mean():
+    m = near_float_limit()
+    out = crop(m, 0.5)
+    for name in ("x1", "x2", "x3"):
+        mat, att = m.matrix(name), out.matrix(name)
+        # the mean of the values scaled by a power of two, which cannot overflow
+        want = np.mean(mat / 2.0**64) * 2.0**64
+        assert np.all(att[:45, :45] == att[0, 0]) and att[0, 0] == pytest.approx(want, rel=1e-12), name
+        assert np.array_equal(att[45:, :], mat[45:, :]) and np.array_equal(att[:, 45:], mat[:, 45:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(m.x3.sum())
 
 
 def test_crop_validation(bumps64):

@@ -207,6 +207,29 @@ def test_embed_with_an_overflowing_step_reports_minus_inf_psnr(workdir, tmp_path
     assert (tmp_path / "marked.grid3").exists()
 
 
+def test_embed_refuses_an_overflowing_reference(tmp_path, capsys):
+    # an 8x8 x1 block with finite coefficients whose reference passes the
+    # float range at one point; the refusal is one line, with no warning
+    # before it (the suite turns a RuntimeWarning into an error)
+    from gridmark.codec import EMBED_ATOMS
+    from gridmark.model_io import GridModel
+
+    weight = EMBED_ATOMS.T @ EMBED_ATOMS[:, 0]
+    x1 = -1.6e308 * np.sign(weight)
+    x1[0] = 1.6e308
+    save_model(GridModel(x1.reshape(8, 8), np.zeros((8, 8)), np.zeros((8, 8))), tmp_path / "m.grid3")
+    save_watermark(WatermarkBitmap(np.ones((1, 1), dtype=np.uint8)), tmp_path / "wm.pbm")
+    code, _, err = run(
+        capsys, "embed",
+        "--model", str(tmp_path / "m.grid3"),
+        "--watermark", str(tmp_path / "wm.pbm"),
+        "--out", str(tmp_path / "marked.grid3"),
+    )
+    assert code == 2
+    assert err.startswith("NonFiniteValueError") and len(err.splitlines()) == 1
+    assert not (tmp_path / "marked.grid3").exists()
+
+
 def test_extract_with_wrong_key_config(workdir, tmp_path, capsys):
     cfg_path = tmp_path / "wrong.cfg"
     save_config(EmbedConfig(key=6), cfg_path)
@@ -357,6 +380,33 @@ def test_attack_bad_parameters_exit_code(workdir, tmp_path, capsys):
         )
         assert code == 2
         assert "BadParameterError" in err
+
+
+@pytest.fixture(scope="module")
+def near_float_limit(tmp_path_factory):
+    """bumps-64 scaled to |x| <= 1e307, saved: finite, but x3's sum passes the float range."""
+    m = generate_model("bumps", 64, seed=0)
+    path = tmp_path_factory.mktemp("limit") / "big.grid3"
+    save_model(scale(m, 1e307 / max(np.abs(m.matrix(name)).max() for name in ("x1", "x2", "x3"))), path)
+    return path
+
+
+def test_attack_scale_past_the_float_range_exit_code(near_float_limit, tmp_path, capsys):
+    code, _, err = run(
+        capsys, "attack", "--model", str(near_float_limit), "--spec", "scale:k=100", "--out", str(tmp_path / "x.grid3")
+    )
+    assert code == 2
+    assert err.startswith("NonFiniteValueError") and len(err.splitlines()) == 1
+    assert not (tmp_path / "x.grid3").exists()
+
+
+def test_attack_crop_near_the_float_range(near_float_limit, tmp_path, capsys):
+    code, _, err = run(
+        capsys, "attack", "--model", str(near_float_limit), "--spec", "crop:p=0.5", "--out", str(tmp_path / "x.grid3")
+    )
+    assert code == 0, err
+    out = load_model(tmp_path / "x.grid3")
+    assert all(np.isfinite(out.matrix(name)).all() for name in ("x1", "x2", "x3"))
 
 
 # ---------------------------------------------------------------------------

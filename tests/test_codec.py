@@ -365,12 +365,19 @@ def test_embed_moves_every_block_within_its_residual_bound(small_model, small_ma
         assert (residual < q / 4).all()
 
 
+def _added_reference(m, directions):
+    """The reference surface written out with add_atoms: each direction
+    minus its embed_coefficients, independent of features.project."""
+    return m.replace(**{name: add_atoms(m.matrix(name), -embed_coefficients(m.matrix(name))) for name in directions})
+
+
 # The codec as a walk over the three-level tree, one band at a time: the
 # definition the block-atom codec must reproduce.
 
 def _tree_embed(m, wm, cfg):
-    s = normalization_scale(reference_surface(m, cfg.directions))
-    alpha = _alpha(m, cfg)
+    ref = _added_reference(m, cfg.directions)
+    s = normalization_scale(ref)
+    alpha = ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(ref, cfg.system()).weight
     sbits = scramble(wm.bits, cfg.key).ravel()
     smap = SlotMap(m.n, wm.w, cfg.directions)
     out = {}
@@ -420,7 +427,7 @@ def test_embed_extract_match_tree_walk(kind, desk_models, desk_marked, wm32, def
 # projected it again.
 
 def _embed_projecting_twice(m, wm, cfg):
-    ref = reference_surface(m, cfg.directions)
+    ref = _added_reference(m, cfg.directions)
     s = normalization_scale(ref)
     alpha = ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(ref, cfg.system()).weight
     sbits = scramble(wm.bits, cfg.key).ravel()
@@ -457,7 +464,7 @@ def _extract_via_reference_surface(m, w, cfg):
     if w < 1:
         raise BadParameterError(f"watermark side must be positive, got {w}")
     c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
-    s = _percentile_scale(reference_surface(m, cfg.directions, c))
+    s = _percentile_scale(_added_reference(m, cfg.directions))
     idx = SlotMap(m.n, w, cfg.directions).bit.ravel()
     twice_ones = 2 * np.bincount(idx, weights=_read_by_mod(c / s, cfg).ravel(), minlength=w * w)
     total = np.bincount(idx, minlength=w * w)
@@ -535,6 +542,22 @@ def test_extract_leaves_its_input_alone(n, default_cfg):
     extract(m, 2, default_cfg)
     for name, x in zip(("x1", "x2", "x3"), before):
         assert np.array_equal(m.matrix(name), x), name
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_embed_leaves_its_input_alone(n, default_cfg):
+    m = generate_model("bumps", n, 0)
+    before = [m.matrix(name).copy() for name in ("x1", "x2", "x3")]
+    embed(m, WatermarkBitmap(np.array([[1, 0], [0, 1]], dtype=np.uint8)), default_cfg)
+    for name, x in zip(("x1", "x2", "x3"), before):
+        assert np.array_equal(m.matrix(name), x), name
+
+
+def test_embed_refuses_an_overflowing_reference(default_cfg):
+    # the reference is refused before any sum passes the float range; the
+    # suite turns a RuntimeWarning into an error
+    with pytest.raises(NonFiniteValueError):
+        embed(_overflowing_reference(), WatermarkBitmap(np.ones((1, 1), dtype=np.uint8)), default_cfg)
 
 
 # The codec before the weight set the step: only HIGH/HIGHER blocks carry

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from gridmark import GridModel, chunks, generate_model
+from gridmark import GridModel, features, generate_model
 from gridmark.errors import DegenerateModelError
 from gridmark.features import (
     ELIGIBLE_TERMS,
@@ -314,55 +314,46 @@ def test_plane_has_no_eligible_blocks(system):
 
 
 # ---------------------------------------------------------------------------
-# Chunked evaluation: whatever the chunk split and the worker count, the
+# Sliced evaluation: whatever the slice split and the worker count, the
 # field has the bits of one whole-stack kernel call
 
-def test_map_chunks_concatenates_chunks_in_order(chunk_workers):
-    sizes = []
+def _spy_kernel(monkeypatch, before=None):
+    """Record the block count of every _features call raw_features makes,
+    after running before() in the calling thread."""
+    sizes, kernel = [], features._features
 
-    def kernel(x, y):
-        sizes.append(x.size)
-        return x + y, x * y
+    def spy(blocks):
+        if before is not None:
+            before()
+        sizes.append(len(blocks[0]))
+        return kernel(blocks)
 
-    x = np.arange(1000.0)
-    total, product = chunks.map_chunks(kernel, x, 2.0 * x)
-    assert np.array_equal(total, 3.0 * x) and np.array_equal(product, 2.0 * x * x)
-    assert sorted(sizes) == [232, 256, 256, 256]
-    (empty,) = chunks.map_chunks(lambda e: (e,), np.empty(0))
-    assert empty.shape == (0,)
-
-
-def test_map_chunks_with_one_cpu_stays_on_the_caller(monkeypatch):
-    monkeypatch.setattr(chunks, "_usable_cpus", lambda: 1)
-    threads = set()
-
-    def kernel(x):
-        threads.add(threading.get_ident())
-        return (x,)
-
-    chunks.map_chunks(kernel, np.arange(1000.0))
-    assert threads == {threading.get_ident()}
-
-
-def test_map_chunks_with_two_cpus_runs_two_chunks_at_once(monkeypatch):
-    monkeypatch.setattr(chunks, "_usable_cpus", lambda: 2)
-    barrier = threading.Barrier(2, timeout=20)  # broken unless two threads meet in the kernel
-
-    def kernel(x):
-        barrier.wait()
-        return (x,)
-
-    x = np.arange(512.0)
-    assert np.array_equal(chunks.map_chunks(kernel, x)[0], x)
+    monkeypatch.setattr(features, "_features", spy)
+    return sizes
 
 
 @pytest.mark.parametrize("n", [8, 24, 264, 520])  # 1, 9, 1089 (a 65-row tail) and 4225 blocks
-def test_raw_features_chunked_equal_whole_stack(chunk_workers, n):
+def test_raw_features_chunked_equal_whole_stack(chunk_workers, n, monkeypatch):
     ref = reference_surface(generate_model("bumps", n, 2), DIRS)
-    got = raw_features(ref)
     want = _features(_block_points(ref))
+    sizes = _spy_kernel(monkeypatch)
+    got = raw_features(ref)
     for channel, w in zip(("curvature", "area", "bumpiness"), want):
         assert np.array_equal(getattr(got, channel), w.reshape(n // 8, n // 8)), channel
+    blocks = (n // 8) ** 2
+    assert sorted(sizes) == sorted(min(256, blocks - i) for i in range(0, blocks, 256))
+
+
+def test_raw_features_runs_two_slices_at_once(monkeypatch):
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    barrier = threading.Barrier(2, timeout=20)  # broken unless two threads meet in the kernel
+    ref = reference_surface(generate_model("bumps", 136, 2), DIRS)  # 289 blocks: two slices
+    want = raw_features(ref)
+    sizes = _spy_kernel(monkeypatch, barrier.wait)
+    got = raw_features(ref)
+    assert sorted(sizes) == [33, 256]
+    for channel in ("curvature", "area", "bumpiness"):
+        assert np.array_equal(getattr(got, channel), getattr(want, channel)), channel
 
 
 @pytest.mark.parametrize("far", [1e200, 1e308])
@@ -370,7 +361,7 @@ def test_features_past_float_range_are_degenerate(chunk_workers, system, far):
     # Far outliers leave p1-p99 and the scale ordinary.  At 1e200 the
     # block features square them past the float range; at 1e308 the block
     # means overflow too and their points would reach the SVD as NaN.  One
-    # outlier block is in the first of the 5 chunks, one in the last.
+    # outlier block is in the first of the 5 slices, one in the last.
     m = generate_model("bumps", 264, 0)
     x3 = m.x3.copy()
     x3[0, 0] = x3[0, 1] = far
@@ -403,9 +394,9 @@ def test_raw_features_of_desk_models_pinned(desk_models):
 
 def test_concurrent_compute_weights_get_the_serial_field(monkeypatch, system):
     ref = reference_surface(generate_model("harmonic", 264, 4), DIRS)
-    monkeypatch.setattr(chunks, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 1)
     want = compute_weights(ref, system)
-    monkeypatch.setattr(chunks, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 4)
     results = [None, None]
 
     def run(i):
@@ -413,7 +404,7 @@ def test_concurrent_compute_weights_get_the_serial_field(monkeypatch, system):
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, to interleave the chunks
+    sys.setswitchinterval(1e-5)  # switch threads often, to interleave the slices
     try:
         for t in threads:
             t.start()

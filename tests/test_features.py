@@ -332,6 +332,25 @@ def _spy_kernel(monkeypatch, before=None):
     return sizes
 
 
+def test_map_chunks_concatenates_chunks_in_order(chunk_workers, monkeypatch):
+    # raw_features maps the kernel over 256-block slices of the stacks and
+    # puts the slices' outputs back in row-major block order
+    sizes = []
+
+    def kernel(blocks):
+        x1, x2, x3 = blocks
+        sizes.append(len(x1))
+        return x1[:, 0, 0] + x3[:, 0, 0], x1[:, 0, 0] * x3[:, 0, 0], x2[:, 7, 7]
+
+    monkeypatch.setattr(features, "_features", kernel)
+    m = generate_model("bumps", 264, 2)  # 1089 blocks: four full slices and a 65-block tail
+    got = raw_features(m)
+    assert np.array_equal(got.curvature, m.x1[::8, ::8] + m.x3[::8, ::8])
+    assert np.array_equal(got.area, m.x1[::8, ::8] * m.x3[::8, ::8])
+    assert np.array_equal(got.bumpiness, m.x2[7::8, 7::8])
+    assert sorted(sizes) == [65, 256, 256, 256, 256]
+
+
 @pytest.mark.parametrize("n", [8, 24, 264, 520])  # 1, 9, 1089 (a 65-row tail) and 4225 blocks
 def test_raw_features_chunked_equal_whole_stack(chunk_workers, n, monkeypatch):
     ref = reference_surface(generate_model("bumps", n, 2), DIRS)

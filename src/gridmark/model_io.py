@@ -11,6 +11,11 @@ Formats:
   PBM P1 canonical watermark bitmap format (also written), ASCII.
   PGM P2 accepted on input only; gray >= 128 maps to bit 1.
   OBJ    export-only triangulation for external viewers.
+
+GRID3 and OBJ files are written one row at a time.  A GRID3 file is read
+one line (at most 64 KiB) at a time, and only the rows of the matrix being
+parsed are held until that matrix is converted: the whole file text is
+never built.
 """
 
 import math
@@ -107,41 +112,98 @@ def read_text(path, encoding="ascii"):
         raise MalformedFileError(f"{path}: byte {e.start} is not {encoding}") from None
 
 
+_READ_BLOCK = 1 << 16
+
+# The ASCII line breaks of str.splitlines but "\r", which may be the first
+# half of a "\r\n".
+_FINAL_BREAKS = "\n\v\f\x1c\x1d\x1e"
+
+
+def _ascii_lines(fh, path):
+    """The lines of a binary file, as read_text(path).splitlines() gives them.
+
+    Reads up to the next b"\\n", but never more than _READ_BLOCK bytes, at
+    a time, so whichever line breaks the file uses (a bare "\\r" too), it
+    holds one such piece and the line being read.  Unless a piece ends in
+    one of _FINAL_BREAKS, its last line may go on in the next piece, so it
+    is split again with that piece (a final "\\r" with it, in case the
+    next piece starts with "\\n").
+    """
+    offset = 0
+    tail = ""
+    while chunk := fh.readline(_READ_BLOCK):
+        try:
+            text = tail + chunk.decode("ascii")
+        except UnicodeDecodeError as e:
+            raise MalformedFileError(f"{path}: byte {offset + e.start} is not ascii") from None
+        offset += len(chunk)
+        lines = text.splitlines()
+        if text[-1] in _FINAL_BREAKS:
+            tail = ""
+        elif text[-1] == "\r":
+            tail = lines.pop() + "\r"
+        else:
+            tail = lines.pop()
+        yield from lines
+    yield from tail.splitlines()
+
+
+def _decimal(token, what):
+    """A non-negative decimal integer token: ASCII digits and nothing else
+    (int() also takes a sign, '_' between digits and non-ASCII digits)."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise MalformedFileError(f"bad {what} {token!r}")
+
+
 # ---------------------------------------------------------------------------
 # GRID3
 
 def save_model(m: GridModel, path):
     validate_model(m)
-    lines = [f"GRID3 {m.n}"]
-    for name in _AXES:
-        lines.append(f"MATRIX {name}")
-        # tolist() yields Python floats, whose repr is the shortest round trip.
-        lines.extend(" ".join(map(repr, row)) for row in m.matrix(name).tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"GRID3 {m.n}\n")
+        for name in _AXES:
+            fh.write(f"MATRIX {name}\n")
+            for row in m.matrix(name):
+                # tolist() yields Python floats, whose repr is the shortest round trip.
+                fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_model(path) -> GridModel:
-    lines = read_text(path).splitlines()
-    pos = 0
+    with open(path, "rb") as fh:
+        lines = enumerate(_ascii_lines(fh, path), start=1)
+        try:
+            mats = _parse_grid3(lines)
+        except (DimensionError, NonFiniteValueError):
+            # a byte that is not ascii anywhere in the file is reported
+            # first, as it is when the file is read whole
+            for _ in lines:
+                pass
+            raise
+        for lineno, line in lines:
+            if line.strip() != "":
+                raise MalformedFileError(f"trailing content at line {lineno}")
+    return GridModel(**mats)
+
+
+def _parse_grid3(lines):
+    """The three matrices from the numbered lines of a GRID3 file, reading
+    no further than the last row of x3."""
 
     def next_line():
-        nonlocal pos
-        while pos < len(lines) and lines[pos].strip() == "":
-            pos += 1
-        if pos >= len(lines):
-            raise MalformedFileError("unexpected end of file")
-        line = lines[pos]
-        pos += 1
-        return line
+        for _, line in lines:
+            if line.strip() != "":
+                return line
+        raise MalformedFileError("unexpected end of file")
 
     header = next_line().split()
     if len(header) != 2 or header[0] != "GRID3":
         raise MalformedFileError("first line must be 'GRID3 <N>'")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise MalformedFileError(f"bad grid side {header[1]!r}") from None
+    n = _decimal(header[1], "grid side")
     if n < 8 or n % 8 != 0:
         raise DimensionError(f"grid side must be a positive multiple of 8, got {n}")
 
@@ -156,17 +218,13 @@ def load_model(path) -> GridModel:
             mat = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
         except ValueError as e:
             raise MalformedFileError(f"matrix {name}: {e}") from None
+        del rows  # so the next matrix's rows never sit beside these
         if mat.shape != (n, n):
             raise MalformedFileError(f"matrix {name}: expected {n} values per row, got {mat.shape[1]}")
         if not np.isfinite(mat).all():
             raise NonFiniteValueError(f"matrix {name} contains non-finite values")
         mats[name] = mat
-
-    while pos < len(lines):
-        if lines[pos].strip() != "":
-            raise MalformedFileError(f"trailing content at line {pos + 1}")
-        pos += 1
-    return GridModel(**mats)
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +254,19 @@ def load_watermark(path) -> WatermarkBitmap:
     if magic not in ("P1", "P2"):
         raise MalformedFileError(f"unsupported image magic {magic!r}")
     try:
-        w, h = int(toks[1]), int(toks[2])
-        if w < 0 or h < 0:
-            raise MalformedFileError(f"bad image size {w}x{h}")
+        w, h = _decimal(toks[1], "image size"), _decimal(toks[2], "image size")
         if magic == "P1":
             data = toks[3:]
             # P1 allows packed digit runs like "0101".
             if len(data) != w * h:
                 data = [ch for tok in data for ch in tok]
-            vals = [int(t) for t in data]
+            vals = [_decimal(t, "pixel") for t in data]
         else:
-            maxval = int(toks[3])
+            maxval = _decimal(toks[3], "maxval")
             if maxval <= 0:
                 raise MalformedFileError(f"bad maxval {maxval}")
-            vals = [int(t) for t in toks[4:]]
-    except (ValueError, IndexError):
+            vals = [_decimal(t, "pixel") for t in toks[4:]]
+    except IndexError:
         raise MalformedFileError("malformed image header or data") from None
     if w != h:
         raise NotSquareError(f"watermark must be square, got {w}x{h}")
@@ -235,20 +291,14 @@ def export_obj(m: GridModel, path):
     """Triangulate the grid (each cell split along its main diagonal) and
     write a 1-based OBJ mesh: N^2 vertices, 2(N-1)^2 faces."""
     n = m.n
-    lines = [
-        f"v {a!r} {b!r} {c!r}"
-        for a, b, c in zip(m.x1.ravel().tolist(), m.x2.ravel().tolist(), m.x3.ravel().tolist())
-    ]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            p00 = i * n + j + 1
-            p01 = p00 + 1
-            p10 = p00 + n
-            p11 = p10 + 1
-            lines.append(f"f {p00} {p10} {p11}")
-            lines.append(f"f {p00} {p11} {p01}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for a, b, c in zip(m.x1, m.x2, m.x3):
+            fh.write("".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())))
+        # the two faces of each cell of grid row i; p is the 1-based index
+        # of the cell's corner (i, j)
+        for i in range(n - 1):
+            fh.write("".join(f"f {p} {p + n} {p + n + 1}\nf {p} {p + n + 1} {p + 1}\n"
+                             for p in range(i * n + 1, i * n + n)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gridmark import model_io
 from gridmark.errors import (
     BadParameterError,
     DimensionError,
@@ -19,6 +22,7 @@ from gridmark.model_io import (
     generate_model,
     load_model,
     load_watermark,
+    read_text,
     save_model,
     save_watermark,
     validate_model,
@@ -49,6 +53,56 @@ def reference_grid3_parse(text):
     n = int(lines[0].split()[1])
     blocks = (lines[2 + k * (n + 1):1 + (k + 1) * (n + 1)] for k in range(3))
     return [np.array([[float(t) for t in row.split()] for row in b]) for b in blocks]
+
+
+def _whole_text_load_model(path):
+    """The GRID3 reader that load_model replaced: it decodes the whole file,
+    splits it with str.splitlines, then parses the list of lines.  Kept as
+    the reference for which lines the streaming reader sees."""
+    lines = read_text(path).splitlines()
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        while pos < len(lines) and lines[pos].strip() == "":
+            pos += 1
+        if pos >= len(lines):
+            raise MalformedFileError("unexpected end of file")
+        line = lines[pos]
+        pos += 1
+        return line
+
+    header = next_line().split()
+    if len(header) != 2 or header[0] != "GRID3":
+        raise MalformedFileError("first line must be 'GRID3 <N>'")
+    try:
+        n = int(header[1])
+    except ValueError:
+        raise MalformedFileError(f"bad grid side {header[1]!r}") from None
+    if n < 8 or n % 8 != 0:
+        raise DimensionError(f"grid side must be a positive multiple of 8, got {n}")
+
+    mats = {}
+    for name in ("x1", "x2", "x3"):
+        tag = next_line().split()
+        if tag != ["MATRIX", name]:
+            raise MalformedFileError(f"expected 'MATRIX {name}', got {' '.join(tag)!r}")
+        rows = [next_line() for _ in range(n)]
+        try:
+            mat = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
+        except ValueError as e:
+            raise MalformedFileError(f"matrix {name}: {e}") from None
+        if mat.shape != (n, n):
+            raise MalformedFileError(f"matrix {name}: expected {n} values per row, got {mat.shape[1]}")
+        if not np.isfinite(mat).all():
+            raise NonFiniteValueError(f"matrix {name} contains non-finite values")
+        mats[name] = mat
+
+    while pos < len(lines):
+        if lines[pos].strip() != "":
+            raise MalformedFileError(f"trailing content at line {pos + 1}")
+        pos += 1
+    return GridModel(**mats)
 
 
 def on_row(edit, row=2):
@@ -214,6 +268,12 @@ def test_save_model_rejects_bad_side(tmp_path):
         pytest.param(lambda t: "\n".join(l + " 1.0" if 2 <= i <= 9 else l
                                          for i, l in enumerate(t.split("\n"))),
                      MalformedFileError, id="extra-column"),
+        # int() takes these as a grid side; a GRID3 header does not
+        pytest.param(lambda t: t.replace("GRID3 8", "GRID3 0_8"), MalformedFileError, id="underscore-side"),
+        pytest.param(lambda t: t.replace("GRID3 8", "GRID3 +8"), MalformedFileError, id="plus-side"),
+        pytest.param(lambda t: t.replace("GRID3 8", "GRID3 -8"), MalformedFileError, id="minus-side"),
+        pytest.param(lambda t: t.replace("GRID3 8", "GRID3 " + "0" * 4400 + "8"), MalformedFileError,
+                     id="side-past-int-digit-limit"),
     ],
 )
 def test_grid3_malformed(tmp_path, mangle, err):
@@ -223,6 +283,112 @@ def test_grid3_malformed(tmp_path, mangle, err):
     bad.write_bytes(mangle(path.read_text()).encode("utf-8"))
     with pytest.raises(err):
         load_model(bad)
+
+
+# Each edit puts line breaks that str.splitlines knows (and two that it
+# does not) between or inside the rows of a saved 8 x 8 model.
+LINE_BREAK_EDITS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "cr": lambda t: t.replace("\n", "\r"),
+    "lfcr": lambda t: t.replace("\n", "\n\r"),
+    "no-final-newline": lambda t: t.rstrip("\n"),
+    "cr-final": lambda t: t.rstrip("\n") + "\r",
+    "vt-between": lambda t: t.replace("\n", "\v"),
+    "ff-between": lambda t: t.replace("\n", "\n\f"),
+    "fs-between": lambda t: t.replace("\n", "\x1c"),
+    "gs-rs-between": lambda t: t.replace("\n", "\x1d\n\x1e"),
+    "breaks-after-x3": lambda t: t + "\v\f\x1c \t\r\n",
+    "vt-inside": on_row(lambda r: r.replace(" ", "\v", 1)),
+    "ff-inside": on_row(lambda r: r.replace(" ", "\f", 1)),
+    "fs-inside": on_row(lambda r: r.replace(" ", "\x1c", 1)),
+    "cr-inside": on_row(lambda r: r.replace(" ", "\r", 1), row=12),
+    "us-inside": on_row(lambda r: r.replace(" ", "\x1f", 1)),
+    "stray-after-cr": lambda t: t.replace("\n", "\r") + "\rstray\r",
+    "stray-after-crlf": lambda t: t.replace("\n", "\r\n") + "stray\r\n",
+    "nel-byte": on_row(lambda r: r + "\x85", row=20),
+    # the whole-text reader reports the bad byte before the non-finite value
+    "nan-then-bad-byte": lambda t: with_token("nan")(t) + "\xe9",
+    "bad-side-then-bad-byte": lambda t: t.replace("GRID3 8", "GRID3 12") + "\xff",
+}
+
+
+# a read limit of 1 byte cuts the file between every two bytes, "\r\n"
+# included, and one of 5 bytes cuts rows and line breaks at shifting places
+READ_BLOCKS = pytest.mark.parametrize("block", [1, 5, model_io._READ_BLOCK],
+                                      ids=["block1", "block5", "block-default"])
+
+
+@READ_BLOCKS
+@pytest.mark.parametrize("edit", LINE_BREAK_EDITS.values(), ids=LINE_BREAK_EDITS.keys())
+def test_load_model_sees_the_lines_of_the_whole_text(tmp_path, monkeypatch, edit, block):
+    monkeypatch.setattr(model_io, "_READ_BLOCK", block)
+    path = tmp_path / "m.grid3"
+    save_model(random_model(8), path)
+    path.write_bytes(edit(path.read_text()).encode("latin-1"))
+    try:
+        want = _whole_text_load_model(path)
+    except Exception as e:
+        with pytest.raises(type(e)) as got:
+            load_model(path)
+        assert str(got.value) == str(e)
+    else:
+        back = load_model(path)
+        for name in ("x1", "x2", "x3"):
+            assert np.array_equal(bits(back.matrix(name)), bits(want.matrix(name)))
+
+
+@READ_BLOCKS
+def test_load_model_reports_the_absolute_offset_of_a_bad_byte(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(model_io, "_READ_BLOCK", block)
+    path = tmp_path / "bad.grid3"
+    path.write_bytes(b"GRID3 8\nMATRIX x1\n0.0\xff 1.0\n")
+    with pytest.raises(MalformedFileError, match="byte 21 is not ascii"):
+        load_model(path)
+
+
+def traced_peak(f, *args):
+    """Peak bytes that f(*args) allocates above what was live before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def bumps256(tmp_path_factory):
+    m = generate_model("bumps", 256, 0)
+    path = tmp_path_factory.mktemp("bumps256") / "m.grid3"
+    save_model(m, path)
+    return m, path
+
+
+def test_save_model_writes_one_row_at_a_time(bumps256, tmp_path):
+    m, _ = bumps256
+    path = tmp_path / "m.grid3"
+    peak = traced_peak(save_model, m, path)
+    assert peak < path.stat().st_size / 16
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_model_holds_one_matrix_of_rows(bumps256, tmp_path, newline):
+    path = tmp_path / "m.grid3"
+    path.write_bytes(bumps256[1].read_bytes().replace(b"\n", newline))
+    matrices = 3 * 256 * 256 * 8
+    peak = traced_peak(load_model, path)
+    assert peak - matrices < path.stat().st_size / 2
+
+
+def test_export_obj_writes_one_row_at_a_time(bumps256, tmp_path):
+    m, _ = bumps256
+    path = tmp_path / "m.obj"
+    peak = traced_peak(export_obj, m, path)
+    assert peak < path.stat().st_size / 8
 
 
 def test_grid3_short_row(tmp_path):
@@ -324,6 +490,13 @@ def test_watermark_p2_threshold(tmp_path):
         ("P1\n-2 -2\n1 0 1 0\n", MalformedFileError),
         ("P1\n-2 2\n1 0 1 0\n", MalformedFileError),
         ("P2\n-2 -2\n255\n0 0 0 0\n", MalformedFileError),
+        # int() took these as 1, 2 and 255; a PNM token is decimal digits only
+        ("P1\n2 2\n0_1 0 0 1\n", MalformedFileError),
+        ("P1\n2 2\n+1 0 0 1\n", MalformedFileError),
+        ("P1\n+2 2\n1 0 0 1\n", MalformedFileError),
+        ("P2\n2 2\n2_55\n0 0 0 255\n", MalformedFileError),
+        ("P2\n2 2\n255\n0 0 0 2_55\n", MalformedFileError),
+        ("P2\n2 2\n" + "9" * 4400 + "\n0 0 0 1\n", MalformedFileError),
     ],
 )
 def test_watermark_malformed(tmp_path, text, err):

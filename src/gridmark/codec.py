@@ -3,9 +3,10 @@
 Pipeline (embed): scramble the watermark, project the (B, 64) block stack
 of each embedding direction matrix onto the 8 embedding atoms
 (features.project: the 8 level-3 detail coefficients of every 8x8 block,
-and the stack with them removed, the reference surface), divide by the
-reference's normalization scale, and move every slot a fraction alpha of
-the way to the nearest value whose remainder mod q is the bit's target
+and the stack with them removed, the reference surface), weight the
+blocks from the reference stacks, divide by the reference's
+normalization scale, and move every slot a fraction alpha of the way to
+the nearest value whose remainder mod q is the bit's target
 (distortion-compensated QIM).  Each block's alpha rises from ALPHA_MIN to
 1 with its crisp fuzzy weight, so curved, bumpy blocks take close to the
 full step and flat ones little more than half of it; the change goes back
@@ -42,10 +43,10 @@ from .errors import (
     InsufficientCapacityError,
     MalformedFileError,
 )
-from .features import compute_weights, project
+from .features import _block_weights, project
 from .fuzzy import default_rules_text, make_system, validate_watermark_system
 from .model_io import GridModel, WatermarkBitmap, read_text
-from .wavelet import EMBED_ATOMS, add_atoms, from_block_stack
+from .wavelet import EMBED_ATOMS, add_atoms, to_block_stack
 
 DIRECTION_ORDER = ("x1", "x2", "x3")
 
@@ -365,8 +366,10 @@ def embed(m: GridModel, wm: WatermarkBitmap, cfg: EmbedConfig) -> GridModel:
     coefs, stacks = project(m, cfg.directions)
     smap = SlotMap(m.n, wm.w, cfg.directions)
     s = _reference_extent(m, cfg.directions, stacks)
-    ref = m.replace(**{name: from_block_stack(x) for name, x in zip(cfg.directions, stacks)})
-    alpha = ALPHA_MIN + (1.0 - ALPHA_MIN) * compute_weights(ref, cfg.system()).weight
+    ref = dict(zip(cfg.directions, stacks))
+    ref_stacks = [ref[name] if name in ref else to_block_stack(m.matrix(name)) for name in DIRECTION_ORDER]
+    _, weight = _block_weights([x.reshape(-1, 8, 8) for x in ref_stacks], cfg.system())
+    alpha = ALPHA_MIN + (1.0 - ALPHA_MIN) * weight
 
     c = np.stack([x.T.reshape(8, nb, nb) for x in coefs])
     sbits = scramble(wm.bits, cfg.key).ravel()

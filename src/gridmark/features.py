@@ -17,28 +17,37 @@ Features per block of the surface S(i,j) = (x1, x2, x3):
              least-squares plane (sqrt of the smallest scatter eigenvalue
              over the point count)
 
-The blocks are evaluated in batched passes over three (B, 8, 8) stacks of
-the surface's blocks, one per coordinate.  The Laplacian, the edge
-vectors and the cross products are written out per coordinate, a
-3-vector norm is sqrt(a*a + b*b + c*c), and the centred points are
-stacked into (B, 64, 3) only for the one batched SVD.  raw_features maps
-the kernel over 256-block slices of the stacks on a thread pool with one
-thread per usable CPU; numpy's SVD, elementwise arithmetic and reductions
-release the GIL.  Each reduction runs over one contiguous per-block row (36
-Laplacian norms, 49 cell areas, 64 points) in the order a block-by-block
-loop sums it, so the features are bit-identical to that loop's, and a
-block's features do not depend on whether it is evaluated alone, in a
-slice or with the rest of the surface, nor on the thread count.
+The kernel takes three (B, 8, 8) stacks of the surface's blocks, one per
+coordinate, and copies them once into one block-minor (8, 8, 3, B)
+array: each point's coordinate is a row of B values, one per block, so
+every step below is an elementwise pass whose inner loop runs over the
+blocks.  The Laplacian, the edge vectors and the cross products are
+written out per coordinate, and a 3-vector norm is sqrt(a*a + b*b +
+c*c).  A block's features keep the bits of a block-by-block loop:
+  - the 36 Laplacian norms and the 49 cell areas are added in numpy's
+    pairwise order for a contiguous run of values (_pairwise_rows);
+  - the mean of the 64 points is a sum over the leading axis of the
+    (64, 3B) view, which numpy adds row after row, as it does the (64, 3)
+    points of one block;
+  - the one batched SVD reads a (B, 64, 3) view of the centered points.
+So a block's features do not depend on whether it is evaluated alone, in
+a slice or with the rest of the surface.  raw_features and the weights
+map the kernel over 256-block slices on a thread pool with one thread
+per usable CPU; numpy's SVD, elementwise arithmetic and reductions
+release the GIL, and the features do not depend on the thread count.
+
+embed weights its blocks straight from project's reference stacks, with
+_block_weights; raw_features and compute_weights cut a reference
+surface into the same stacks and call the same path.
 
 Raw features are normalized per channel to [0,1] by a robust percentile
 map; the fuzzy system turns them into a crisp weight, which sets the
 fraction of the quantization step the block's slots take at embedding.
-Extraction does not use the weights.  The field also marks a block
+Extraction does not use the weights.  compute_weights also marks a block
 eligible iff its weight classifies as HIGH or HIGHER, a diagnostic the
-codec does not read.
+codec neither computes nor reads.
 """
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -100,53 +109,71 @@ def _norm3(a, b, c):
     return np.sqrt(a * a + b * b + c * c)
 
 
+def _pairwise_rows(x):
+    """The sum of the n >= 8 rows of x, added as numpy's pairwise sum adds
+    a contiguous run of n <= 128 values: eight running sums of rows j,
+    j + 8, ..., combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7)), then the n % 8 leftover rows one by one."""
+    n = len(x)
+    r = x[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        r += x[i : i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in x[n - n % 8 :]:
+        total += row
+    return total
+
+
 def _laplacian(x):
-    return x[:, :-2, 1:-1] + x[:, 2:, 1:-1] + x[:, 1:-1, :-2] + x[:, 1:-1, 2:] - 4.0 * x[:, 1:-1, 1:-1]
+    return x[:-2, 1:-1] + x[2:, 1:-1] + x[1:-1, :-2] + x[1:-1, 2:] - 4.0 * x[1:-1, 1:-1]
 
 
 def _cell_edges(x):
     """Per cell, the edges from its top-left corner p00 to p10, p11 and p01."""
-    p00 = x[:, :-1, :-1]
-    return x[:, 1:, :-1] - p00, x[:, 1:, 1:] - p00, x[:, :-1, 1:] - p00
+    p00 = x[:-1, :-1]
+    return x[1:, :-1] - p00, x[1:, 1:] - p00, x[:-1, 1:] - p00
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _features(blocks):
     """Raw (curvature, area, bumpiness), each of shape (B,), of the three
-    (B, 8, 8) coordinate stacks of _block_points.  Every reduction runs over
-    one contiguous per-block row, so a block's features do not depend on how
-    many blocks share the call.
+    (B, 8, 8) coordinate stacks of _block_points.  Each block's features
+    are computed from its own values in a fixed order, so they do not
+    depend on how many blocks share the call.
 
     A block whose squares or sums pass the float range gets inf or NaN
-    features, without a RuntimeWarning, and compute_weights refuses them.
+    features, without a RuntimeWarning, and the weights refuse them.
     numpy's error state is per thread, so it is set here, on the thread that
     runs the kernel, not around the pool."""
     count = len(blocks[0])
+    pts = np.empty((8, 8, 3, count))
+    for k, x in enumerate(blocks):
+        pts[:, :, k] = x.transpose(1, 2, 0)
+    coords = [pts[:, :, k] for k in range(3)]
 
-    curvature = _norm3(*map(_laplacian, blocks)).reshape(count, 36).mean(axis=1)
+    curvature = _pairwise_rows(_norm3(*map(_laplacian, coords)).reshape(36, count)) / 36.0
 
     # cells split along the main diagonal into (p00, p10, p11) and
     # (p00, p11, p01); half the norms of the cross products of their edges
-    (a1, d1, b1), (a2, d2, b2), (a3, d3, b3) = map(_cell_edges, blocks)
+    (a1, d1, b1), (a2, d2, b2), (a3, d3, b3) = map(_cell_edges, coords)
     lower = _norm3(a2 * d3 - a3 * d2, a3 * d1 - a1 * d3, a1 * d2 - a2 * d1)
     upper = _norm3(d2 * b3 - d3 * b2, d3 * b1 - d1 * b3, d1 * b2 - d2 * b1)
-    area = (0.5 * lower + 0.5 * upper).reshape(count, 49).sum(axis=1)
+    area = _pairwise_rows((0.5 * lower + 0.5 * upper).reshape(49, count))
 
     # RMS orthogonal distance to the best-fit plane = smallest singular
     # value of the centered points / sqrt(count).  Steep blocks make the
     # spread ratio along the principal axes enormous, so normalize before
     # the SVD and scale back; going through the squared scatter matrix
     # instead would double that ratio and lose the small end entirely.
-    # cumsum adds a block's 64 values one after the other, as the mean of
-    # its (64, 3) points does; a row sum would pair them differently.
-    flat = (x.reshape(count, 64) for x in blocks)
-    centered = [x - (np.cumsum(x, axis=1)[:, -1] / 64.0)[:, None] for x in flat]
-    spread = functools.reduce(np.maximum, (np.abs(x).max(axis=1) for x in centered))
+    # The sum runs over the leading axis of a (64, 3B) array, which numpy
+    # adds row after row; a single (64, 1) column it would add pairwise.
+    flat = pts.reshape(64, 3 * count)
+    centered = (flat - flat.sum(axis=0) / 64.0).reshape(64, 3, count)
+    spread = np.abs(centered).max(axis=(0, 1))
     point = spread == 0.0  # the block is a single point: bumpiness 0
-    scale = np.where(point, 1.0, spread)[:, None]
-    scaled = np.stack([x / scale for x in centered], axis=-1)
-    scaled[~np.isfinite(spread)] = 0.0  # NaN would stop the SVD; the bumpiness stays non-finite
-    sv = np.linalg.svd(scaled, compute_uv=False)
+    centered /= np.where(point, 1.0, spread)
+    centered[:, :, ~np.isfinite(spread)] = 0.0  # NaN would stop the SVD; the bumpiness stays non-finite
+    sv = np.linalg.svd(centered.transpose(2, 0, 1), compute_uv=False)
     bumpiness = np.where(point, 0.0, spread * sv[:, -1] / math.sqrt(64))
 
     return curvature, area, bumpiness
@@ -190,14 +217,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def raw_features(ref: GridModel) -> FeatureField:
-    """Raw features of every block position, as (N/8, N/8) arrays."""
-    nb = ref.n // 8
-    blocks = _block_points(ref)
+def _block_features(blocks) -> FeatureField:
+    """Raw features of the blocks of a square surface, given as three
+    (B, 8, 8) coordinate stacks (x1, x2, x3) in row-major block order, as
+    (N/8, N/8) arrays."""
+    nb = math.isqrt(len(blocks[0]))
     slices = [slice(i, i + 256) for i in range(0, nb * nb, 256)]
     with ThreadPoolExecutor(_usable_cpus()) as pool:
         parts = list(pool.map(lambda rows: _features([x[rows] for x in blocks]), slices))
     return FeatureField(*(np.concatenate(channel).reshape(nb, nb) for channel in zip(*parts)))
+
+
+def raw_features(ref: GridModel) -> FeatureField:
+    """Raw features of every block position, as (N/8, N/8) arrays."""
+    return _block_features(_block_points(ref))
 
 
 def _normalize_channel(x: np.ndarray) -> np.ndarray:
@@ -215,18 +248,30 @@ def normalize_features(raw: FeatureField) -> FeatureField:
     )
 
 
-def compute_weights(ref: GridModel, sys: FuzzySystem) -> WeightField:
-    """Raw features -> percentile normalization -> fuzzy weight -> eligibility.
+def _block_weights(blocks, sys: FuzzySystem):
+    """The normalized features and the (N/8, N/8) crisp fuzzy weight of the
+    blocks given as _block_features takes them.
 
-    A model whose block features leave the float range (finite coordinates
-    far past its robust extent, squared or summed) raises
+    Blocks whose features leave the float range (finite coordinates far
+    past the surface's robust extent, squared or summed) raise
     DegenerateModelError."""
-    raw = raw_features(ref)
+    raw = _block_features(blocks)
     if not all(np.isfinite(x).all() for x in (raw.curvature, raw.area, raw.bumpiness)):
         raise DegenerateModelError("block features of the model are not finite; cannot weight its blocks")
     norm = normalize_features(raw)
     nb = norm.nb
-    w = evaluate_many(sys, norm.curvature, norm.bumpiness, norm.area).reshape(nb, nb)
-    cls = weight_class_many(sys, w)
-    eligible = np.isin(cls, _ELIGIBLE_INDICES)
+    return norm, evaluate_many(sys, norm.curvature, norm.bumpiness, norm.area).reshape(nb, nb)
+
+
+def compute_weights(ref: GridModel, sys: FuzzySystem) -> WeightField:
+    """Raw features -> percentile normalization -> fuzzy weight -> eligibility,
+    for the blocks of the reference surface ref.
+
+    The weight has the bits of the one embed uses, which takes the same
+    block stacks from project without building ref.  The eligibility is a
+    diagnostic that embed does not compute.  A model whose block features
+    leave the float range (finite coordinates far past its robust extent,
+    squared or summed) raises DegenerateModelError."""
+    norm, w = _block_weights(_block_points(ref), sys)
+    eligible = np.isin(weight_class_many(sys, w), _ELIGIBLE_INDICES)
     return WeightField(norm, w, eligible)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmark import EmbedConfig, embed, extract, generate_model
+from gridmark import EmbedConfig, codec, embed, extract, features, generate_model
 from gridmark.arnold import period, scramble, unscramble
 from gridmark.cli import BENCH_BATTERY
 from gridmark.codec import (
@@ -455,6 +455,41 @@ def test_one_projection_equals_two(kind, desk_models, desk_marked, wm32, default
     noisy, _ = apply(desk_marked[kind], parse_attack("randomnoise:a=0.5,seed=103"))
     for model in (desk_marked[kind], noisy):
         assert np.array_equal(extract(model, 32, default_cfg).bits, _extract_projecting_twice(model, 32, default_cfg).bits)
+
+
+# embed weights its blocks from project's stacks, without building the
+# reference surface or classifying the weights; compute_weights cuts the
+# reference surface into the same stacks.
+
+@pytest.mark.parametrize(
+    "n, directions",
+    [(64, ("x1", "x2")), (256, ("x1", "x2")), (64, ("x2", "x3")), (64, ("x1", "x2", "x3"))],
+    ids=["64", "256", "64-x2x3", "64-x1x2x3"],
+)
+@pytest.mark.parametrize("kind", ["bumps", "harmonic", "meshgrid"])
+def test_embed_weights_equal_compute_weights(kind, n, directions, monkeypatch):
+    cfg = EmbedConfig(directions=directions)
+    m = generate_model(kind, n, 0)
+    wm = WatermarkBitmap(np.random.default_rng(11).integers(0, 2, (n // 8, n // 8), dtype=np.uint8))
+    weights, classified = [], []
+    block_weights, weight_class_many = codec._block_weights, features.weight_class_many
+
+    def weights_spy(blocks, sys):
+        norm, w = block_weights(blocks, sys)
+        weights.append(w)
+        return norm, w
+
+    def class_spy(sys, w):
+        classified.append(w)
+        return weight_class_many(sys, w)
+
+    monkeypatch.setattr(codec, "_block_weights", weights_spy)
+    monkeypatch.setattr(features, "weight_class_many", class_spy)
+    embed(m, wm, cfg)
+    assert len(weights) == 1 and classified == []
+    want = compute_weights(reference_surface(m, directions), cfg.system())
+    assert len(classified) == 1  # the spy sees compute_weights' call
+    assert np.array_equal(weights[0], want.weight)
 
 
 # extract before it read each block stack once: the reference surface as a

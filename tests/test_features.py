@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import sys
@@ -361,6 +362,74 @@ def test_raw_features_chunked_equal_whole_stack(chunk_workers, n, monkeypatch):
         assert np.array_equal(getattr(got, channel), w.reshape(n // 8, n // 8)), channel
     blocks = (n // 8) ** 2
     assert sorted(sizes) == sorted(min(256, blocks - i) for i in range(0, blocks, 256))
+
+
+# The kernel before it ran block-minor: every step over (B, 8, 8) stacks,
+# every sum over one contiguous per-block row.  The block-minor kernel
+# replays those sums' orders, so it must match this one bit for bit.
+
+def _norm3_oracle(a, b, c):
+    return np.sqrt(a * a + b * b + c * c)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _per_block_row_kernel(blocks):
+    count = len(blocks[0])
+
+    def laplacian(x):
+        return x[:, :-2, 1:-1] + x[:, 2:, 1:-1] + x[:, 1:-1, :-2] + x[:, 1:-1, 2:] - 4.0 * x[:, 1:-1, 1:-1]
+
+    def cell_edges(x):
+        p00 = x[:, :-1, :-1]
+        return x[:, 1:, :-1] - p00, x[:, 1:, 1:] - p00, x[:, :-1, 1:] - p00
+
+    curvature = _norm3_oracle(*map(laplacian, blocks)).reshape(count, 36).mean(axis=1)
+    (a1, d1, b1), (a2, d2, b2), (a3, d3, b3) = map(cell_edges, blocks)
+    lower = _norm3_oracle(a2 * d3 - a3 * d2, a3 * d1 - a1 * d3, a1 * d2 - a2 * d1)
+    upper = _norm3_oracle(d2 * b3 - d3 * b2, d3 * b1 - d1 * b3, d1 * b2 - d2 * b1)
+    area = (0.5 * lower + 0.5 * upper).reshape(count, 49).sum(axis=1)
+
+    flat = (x.reshape(count, 64) for x in blocks)
+    centered = [x - (np.cumsum(x, axis=1)[:, -1] / 64.0)[:, None] for x in flat]
+    spread = functools.reduce(np.maximum, (np.abs(x).max(axis=1) for x in centered))
+    point = spread == 0.0
+    scale_ = np.where(point, 1.0, spread)[:, None]
+    scaled = np.stack([x / scale_ for x in centered], axis=-1)
+    scaled[~np.isfinite(spread)] = 0.0
+    sv = np.linalg.svd(scaled, compute_uv=False)
+    bumpiness = np.where(point, 0.0, spread * sv[:, -1] / math.sqrt(64))
+    return curvature, area, bumpiness
+
+
+def _assert_kernel_equals_oracle(blocks):
+    got, want = _features(blocks), _per_block_row_kernel(blocks)
+    for channel, g, w in zip(("curvature", "area", "bumpiness"), got, want):
+        assert g.shape == w.shape and np.array_equal(g, w), channel
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_kernel_equals_per_block_row_kernel_on_desk_models(n):
+    for kind in ("bumps", "harmonic", "meshgrid"):
+        m = generate_model(kind, n, 0)
+        for surface in (m, reference_surface(m, DIRS)):
+            _assert_kernel_equals_oracle(_block_points(surface))
+
+
+def test_kernel_equals_per_block_row_kernel_on_random_surfaces():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        scales = 10.0 ** rng.uniform(-3.0, 6.0, size=3)
+        offsets = scales * rng.uniform(-1e4, 1e4, size=3)
+        m = GridModel(*(s * rng.normal(size=(128, 128)) + o for s, o in zip(scales, offsets)))
+        _assert_kernel_equals_oracle(_block_points(m))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 256])
+def test_kernel_equals_per_block_row_kernel_on_every_slice_size(size):
+    # one-block slices are where a sum over a single column changes order
+    blocks = _block_points(reference_surface(generate_model("bumps", 64, 0), DIRS))
+    for start in range(0, len(blocks[0]), size):
+        _assert_kernel_equals_oracle([x[start : start + size] for x in blocks])
 
 
 def test_raw_features_runs_two_slices_at_once(monkeypatch):

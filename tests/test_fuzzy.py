@@ -482,14 +482,15 @@ def centroid_errors(w, agg, grid):
 
 
 @pytest.mark.parametrize("count", [1, 9, 1089, 4225])  # the block counts of n = 8, 24, 264, 520
-def test_evaluate_many_chunked_equals_whole_aggregate(system, count):
+def test_evaluate_many_chunked_equals_whole_aggregate(chunk_workers, system, count):
+    # one usable CPU or four: evaluate_many runs on the caller's thread alone
     rng = np.random.default_rng(count)
     x = rng.uniform(-0.1, 1.1, size=(3, count))
     grid, agg = _aggregate(system, *x)
     assert centroid_errors(evaluate_many(system, *x), agg, grid).max() <= 1.0
 
 
-def test_evaluate_many_chunked_edges(system, variables):
+def test_evaluate_many_chunked_edges(chunk_workers, system, variables):
     assert evaluate_many(system, [], [], []).shape == (0,)
     # one input that fires no rule, deep in the field, fails the whole field
     inputs, output = variables

@@ -1,4 +1,4 @@
-"""Perceptual block features and the per-slot weight/eligibility field.
+"""Perceptual block features and the per-block weight field.
 
 Every level-3 detail coefficient at position (u, v) is supported by the
 8x8 spatial block rows 8u..8u+7, cols 8v..8v+7, so one feature triple per
@@ -43,9 +43,7 @@ surface into the same stacks and call the same path.
 Raw features are normalized per channel to [0,1] by a robust percentile
 map; the fuzzy system turns them into a crisp weight, which sets the
 fraction of the quantization step the block's slots take at embedding.
-Extraction does not use the weights.  compute_weights also marks a block
-eligible iff its weight classifies as HIGH or HIGHER, a diagnostic the
-codec neither computes nor reads.
+Extraction does not use the weights.
 """
 
 import math
@@ -56,13 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModelError, NonFiniteValueError
-from .fuzzy import FuzzySystem, OUTPUT_TERMS, evaluate_many, weight_class_many
+from .fuzzy import FuzzySystem, evaluate_many
 from .model_io import GridModel, validate_model
 from .wavelet import EMBED_ATOMS, from_block_stack, to_block_stack
-
-ELIGIBLE_TERMS = ("HIGH", "HIGHER")
-
-_ELIGIBLE_INDICES = tuple(OUTPUT_TERMS.index(t) for t in ELIGIBLE_TERMS)
 
 
 def project(m: GridModel, directions):
@@ -198,12 +192,11 @@ class FeatureField:
 
 @dataclass
 class WeightField:
-    """Crisp weight and eligibility per block position, plus the normalized
-    features that produced them."""
+    """Crisp weight per block position, plus the normalized features that
+    produced it."""
 
     features: FeatureField
     weight: np.ndarray
-    eligible: np.ndarray
 
     @property
     def nb(self):
@@ -264,14 +257,11 @@ def _block_weights(blocks, sys: FuzzySystem):
 
 
 def compute_weights(ref: GridModel, sys: FuzzySystem) -> WeightField:
-    """Raw features -> percentile normalization -> fuzzy weight -> eligibility,
-    for the blocks of the reference surface ref.
+    """Raw features -> percentile normalization -> fuzzy weight, for the
+    blocks of the reference surface ref.
 
     The weight has the bits of the one embed uses, which takes the same
-    block stacks from project without building ref.  The eligibility is a
-    diagnostic that embed does not compute.  A model whose block features
-    leave the float range (finite coordinates far past its robust extent,
-    squared or summed) raises DegenerateModelError."""
-    norm, w = _block_weights(_block_points(ref), sys)
-    eligible = np.isin(weight_class_many(sys, w), _ELIGIBLE_INDICES)
-    return WeightField(norm, w, eligible)
+    block stacks from project without building ref.  A model whose block
+    features leave the float range (finite coordinates far past its robust
+    extent, squared or summed) raises DegenerateModelError."""
+    return WeightField(*_block_weights(_block_points(ref), sys))

@@ -12,23 +12,23 @@ and the crisp output is the centroid of the aggregate on a fixed
 
 Every entry point fuzzifies and folds the same way: _term_strengths
 fuzzifies each input term once and max-folds the strengths of the rules
-that share a consequent term.  FuzzyVariable.runs cuts the 1001 grid
-columns, once per variable, into maximal runs that share one set of
-nonzero terms (at most 2 of the 7 standard triangles).  FuzzyVariable
-checks that its terms cover every float of the universe, not only the grid
-columns, from each term's breakpoints.
+that share a consequent term.  FuzzyVariable.memberships holds each
+term's membership at the 1001 grid points, once per variable.
+FuzzyVariable checks that its terms cover every float of the universe, not
+only the grid points, from each term's breakpoints.
 
-evaluate fills its one row's aggregate run by run (_aggregate): each run is
-the max over its own terms of the clipped set min(s_k, mu_k).  Because min
-and max select one of their operands without rounding,
+evaluate's aggregate (_aggregate) is the max over the fired terms of the
+clipped set min(s_k, mu_k) across the grid.  Because min and max select
+one of their operands without rounding,
 
     max(min(s1, mu), min(s2, mu)) == min(max(s1, s2), mu)
 
-holds exactly, and a term that is zero in a column clips to 0 there, so
-the aggregate is bit-identical to clipping one set per rule over the whole
-grid.  Its centroid is taken with math.fsum, which rounds correctly, so a
-symmetric aggregate has an exact centroid (0.5 for one rule clipped about
-0.5).
+holds exactly, so the aggregate is bit-identical to clipping one set per
+rule.  Its mass and moment are summed with math.fsum, so each is correctly
+rounded and the centroid does not depend on the summation order.  MEDIUM's
+memberships on the grid are not mirror-symmetric in floats, so one rule
+MEDIUM -> MEDIUM gives exactly 0.5 at about two thirds of the curvatures
+k/1000, and up to 1.1e-16 less at the rest.
 
 evaluate_many never builds an aggregate.  Within a column the aggregate is
 max_k min(s_k, mu_k) over the column's nonzero terms, which by
@@ -223,37 +223,29 @@ class FuzzyVariable:
         return tuple(t for t, _ in self.terms)
 
     @functools.cached_property
-    def runs(self):
-        """The centroid grid over the universe, and its columns cut into
-        maximal runs that share one set of nonzero terms, in grid order:
-        (grid, ((column slice, ((term, membership over the slice), ...)), ...))."""
+    def memberships(self):
+        """(grid, mu): the centroid grid over the universe and every term's
+        membership on it, one read-only row per term in declaration order."""
         lo, hi = self.universe
         grid = lo + (hi - lo) * _GRID
         mu = np.stack([mf.membership(grid) for _, mf in self.terms])
         grid.flags.writeable = mu.flags.writeable = False  # shared by every call
-        nonzero = mu != 0.0
-        starts = np.flatnonzero(np.r_[True, (nonzero[:, 1:] != nonzero[:, :-1]).any(axis=0)])
-        runs = []
-        for start, stop in zip(starts.tolist(), starts[1:].tolist() + [grid.size]):
-            cols = slice(start, stop)
-            terms = tuple((self.terms[k][0], mu[k, cols]) for k in np.flatnonzero(nonzero[:, start]))
-            runs.append((cols, terms))
-        return grid, tuple(runs)
+        return grid, mu
 
     @functools.cached_property
     def centroid_tables(self):
         """One _CentroidTable per set of terms that are nonzero together in
-        some grid column, derived once per variable from the run table."""
-        grid, runs = self.runs
-        pieces = {}
-        for cols, terms in runs:
-            for size in range(1, len(terms) + 1):
-                for subset in itertools.combinations(terms, size):
-                    t = functools.reduce(np.minimum, (mu for _, mu in subset))
-                    pieces.setdefault(tuple(name for name, _ in subset), []).append((t, grid[cols]))
+        some grid column: the subsets of each distinct column pattern, in
+        grid order, each over the columns where all its terms are nonzero."""
+        grid, mu = self.memberships
+        nonzero = mu != 0.0
+        _, first = np.unique(nonzero, axis=1, return_index=True)
+        patterns = (np.flatnonzero(nonzero[:, col]).tolist() for col in np.sort(first))
+        subsets = (itertools.combinations(p, k) for p in patterns for k in range(1, len(p) + 1))
         tables = []
-        for names, parts in pieces.items():
-            t, x = (np.concatenate(p) for p in zip(*parts))
+        for rows in map(list, dict.fromkeys(itertools.chain.from_iterable(subsets))):
+            cols = nonzero[rows].all(axis=0)
+            t, x = mu[rows][:, cols].min(axis=0), grid[cols]
             order = np.argsort(t, kind="stable")
             t, x = t[order], x[order]
             values, below = np.unique(t, return_index=True)  # below[k]: columns below values[k]
@@ -270,6 +262,7 @@ class FuzzyVariable:
             )
             for a in arrays.values():
                 a.flags.writeable = False  # shared by every call
+            names = tuple(self.terms[k][0] for k in rows)
             tables.append(_CentroidTable(names, len(names) % 2 == 1, depth=depth, **arrays))
         return tuple(tables)
 
@@ -536,28 +529,21 @@ def _term_strengths(sys: FuzzySystem, curvature, bumpiness, area):
 
 def _aggregate(sys: FuzzySystem, curvature, bumpiness, area):
     """The output grid and the (m, 1001) max-aggregate of the clipped
-    output sets, filled run by run: each run of grid columns takes the max
-    of its own nonzero terms' clipped sets, and a run none of whose terms
-    fired is 0."""
+    output sets: the max of 0 and of min(s_t, mu_t) over the fired terms t,
+    across the whole grid."""
     strength = _term_strengths(sys, curvature, bumpiness, area)
-    grid, runs = sys.output.runs
-    agg = np.empty((np.size(curvature), CENTROID_POINTS))
-    for cols, terms in runs:
-        out = agg[:, cols]
-        fired = [(strength[t][:, None], mf) for t, mf in terms if t in strength]
-        if not fired:
-            out[...] = 0.0
-            continue
-        (s, mf), *rest = fired
-        np.minimum(s, mf, out=out)
-        for s, mf in rest:
-            np.maximum(out, np.minimum(s, mf), out=out)
+    grid, mu = sys.output.memberships
+    agg = np.zeros((np.size(curvature), CENTROID_POINTS))
+    for k, (t, _) in enumerate(sys.output.terms):
+        if t in strength:
+            np.maximum(agg, np.minimum(strength[t][:, None], mu[k]), out=agg)
     return grid, agg
 
 
 def evaluate(sys: FuzzySystem, curvature, bumpiness, area) -> float:
-    """Crisp output for one input triple (math.fsum centroid, fully
-    deterministic and exact for symmetric aggregates)."""
+    """Crisp output for one input triple: the centroid of the grid
+    aggregate, from its mass and moment, each a correctly rounded
+    math.fsum."""
     grid, (agg,) = _aggregate(sys, curvature, bumpiness, area)
     mass = math.fsum(agg)
     if mass == 0.0:

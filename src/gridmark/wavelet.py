@@ -227,13 +227,6 @@ def from_block_stack(stack):
     return np.reshape(stack, (nb, nb, 8, 8)).swapaxes(1, 2).reshape(8 * nb, 8 * nb)
 
 
-def embed_coefficients(m):
-    """The 8 embedding bands of decompose3(m), as one (8, nb, nb) array."""
-    m = _check_blocked(m)
-    nb = m.shape[0] // 8
-    return (to_block_stack(m) @ EMBED_ATOMS.T).T.reshape(8, nb, nb)
-
-
 def add_atoms(m, delta):
     """m + sum_k delta[k, u, v] * atom_k on block (u, v): the matrix whose
     embedding bands moved by the (8, nb, nb) delta.  Blocks whose delta is

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmark import EmbedConfig, codec, embed, extract, features, generate_model
+from gridmark import EmbedConfig, codec, embed, extract, features, fuzzy, generate_model
 from gridmark.arnold import period, scramble, unscramble
 from gridmark.cli import BENCH_BATTERY
 from gridmark.codec import (
@@ -29,7 +29,7 @@ from gridmark.errors import (
     NonFiniteValueError,
 )
 from gridmark.features import compute_weights, reference_surface
-from gridmark.fuzzy import default_rules_text
+from gridmark.fuzzy import OUTPUT_TERMS, default_rules_text, weight_class_many
 from gridmark.metrics import ber, corr2, psnr
 from gridmark.model_io import GridModel, MODEL_KINDS, WatermarkBitmap
 from gridmark.wavelet import (
@@ -38,12 +38,18 @@ from gridmark.wavelet import (
     EMBED_BANDS,
     add_atoms,
     decompose3,
-    embed_coefficients,
     reconstruct3,
+    to_block_stack,
 )
 from gridmark.attacks import apply, apply_registration, parse_attack, scale, translate
 
 CFG01 = EmbedConfig(q=0.01)
+
+
+def embed_coefficients(m):
+    """The 8 embedding bands of decompose3(m), as one (8, nb, nb) array."""
+    nb = len(m) // 8
+    return (to_block_stack(m) @ EMBED_ATOMS.T).T.reshape(8, nb, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +464,8 @@ def test_one_projection_equals_two(kind, desk_models, desk_marked, wm32, default
 
 
 # embed weights its blocks from project's stacks, without building the
-# reference surface or classifying the weights; compute_weights cuts the
-# reference surface into the same stacks.
+# reference surface; compute_weights cuts the reference surface into the
+# same stacks.  Neither classifies the weights.
 
 @pytest.mark.parametrize(
     "n, directions",
@@ -472,7 +478,7 @@ def test_embed_weights_equal_compute_weights(kind, n, directions, monkeypatch):
     m = generate_model(kind, n, 0)
     wm = WatermarkBitmap(np.random.default_rng(11).integers(0, 2, (n // 8, n // 8), dtype=np.uint8))
     weights, classified = [], []
-    block_weights, weight_class_many = codec._block_weights, features.weight_class_many
+    block_weights = codec._block_weights
 
     def weights_spy(blocks, sys):
         norm, w = block_weights(blocks, sys)
@@ -484,11 +490,12 @@ def test_embed_weights_equal_compute_weights(kind, n, directions, monkeypatch):
         return weight_class_many(sys, w)
 
     monkeypatch.setattr(codec, "_block_weights", weights_spy)
-    monkeypatch.setattr(features, "weight_class_many", class_spy)
+    for module in (fuzzy, features, codec):
+        monkeypatch.setattr(module, "weight_class_many", class_spy, raising=False)
     embed(m, wm, cfg)
-    assert len(weights) == 1 and classified == []
+    assert len(weights) == 1
     want = compute_weights(reference_surface(m, directions), cfg.system())
-    assert len(classified) == 1  # the spy sees compute_weights' call
+    assert classified == []
     assert np.array_equal(weights[0], want.weight)
 
 
@@ -599,9 +606,15 @@ def test_embed_refuses_an_overflowing_reference(default_cfg):
 # payload, at the full step, and extract votes over the blocks that are
 # eligible in the model it is given.
 
+def _eligible(ref, cfg):
+    """The blocks of ref whose weight classifies as HIGH or HIGHER."""
+    classes = weight_class_many(cfg.system(), compute_weights(ref, cfg.system()).weight)
+    return np.isin(classes, [OUTPUT_TERMS.index("HIGH"), OUTPUT_TERMS.index("HIGHER")])
+
+
 def _masked_embed(m, wm, cfg):
     ref = reference_surface(m, cfg.directions)
-    s, el = normalization_scale(ref), compute_weights(ref, cfg.system()).eligible
+    s, el = normalization_scale(ref), _eligible(ref, cfg)
     sbits = scramble(wm.bits, cfg.key).ravel()
     smap = SlotMap(m.n, wm.w, cfg.directions)
     c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
@@ -611,7 +624,7 @@ def _masked_embed(m, wm, cfg):
 
 def _masked_extract(m, w, cfg):
     ref = reference_surface(m, cfg.directions)
-    s, el = normalization_scale(ref), compute_weights(ref, cfg.system()).eligible
+    s, el = normalization_scale(ref), _eligible(ref, cfg)
     smap = SlotMap(m.n, w, cfg.directions)
     c = np.stack([embed_coefficients(m.matrix(name)) for name in cfg.directions])
     idx = smap.bit[:, :, el].ravel()
@@ -706,6 +719,17 @@ def test_extract_survives_scaling(small_marked, wm16, default_cfg, k):
 def test_wrong_key_destroys_payload(desk_marked, wm32):
     got = extract(desk_marked["bumps"], 32, EmbedConfig(key=6))
     assert corr2(wm32.bits, got.bits) < 0.5
+
+
+@pytest.mark.parametrize("kind", ["bumps", "harmonic", "meshgrid"])
+def test_key_is_found_by_trying_every_cat_map_power(kind, desk_marked, wm32, default_cfg):
+    # the key only scrambles the bitmap, and the cat map on 32 x 32 repeats
+    # after 24 steps: extracting with key 0 and unscrambling by each of the
+    # 24 powers finds the mark at the embedding key
+    assert period(32) == 24
+    plain = extract(desk_marked[kind], 32, EmbedConfig(key=0)).bits
+    corrs = [corr2(wm32.bits, unscramble(plain, k)) for k in range(period(32))]
+    assert [k for k, c in enumerate(corrs) if c == 1.0] == [default_cfg.key]
 
 
 def test_unmarked_model_reads_noise(desk_models, wm32, default_cfg):

@@ -676,38 +676,29 @@ def test_evaluate_many_equals_rule_by_rule_on_default_base(system):
 
 
 # ---------------------------------------------------------------------------
-# The run table _aggregate fills the aggregate by
+# The membership table _aggregate and the centroid tables read
 
-def check_run_table(var):
-    grid, runs = var.runs
+def check_membership_table(var):
+    grid, mu = var.memberships
     lo, hi = var.universe
     assert np.array_equal(grid, lo + (hi - lo) * (np.arange(CENTROID_POINTS) / (CENTROID_POINTS - 1.0)))
-    mu = {t: mf.membership(grid) for t, mf in var.terms}
-    covered = np.zeros(grid.size, dtype=int)
-    previous = None
-    for cols, terms in runs:
-        assert cols.start < cols.stop and cols.step is None
-        covered[cols] += 1
-        names = tuple(t for t, _ in terms)
-        assert names == tuple(t for t in var.term_names() if t in names)  # declaration order
-        for j in range(cols.start, cols.stop):
-            assert set(names) == {t for t in mu if mu[t][j] != 0.0}, j
-        for t, m in terms:
-            assert np.array_equal(m, mu[t][cols])
-        assert set(names) != previous  # maximal: neighbouring runs differ
-        previous = set(names)
-    assert (covered == 1).all()  # every column lies in exactly one run
-    assert [cols.start for cols, _ in runs] == sorted(cols.start for cols, _ in runs)
-    return runs
+    assert mu.shape == (len(var.terms), CENTROID_POINTS)
+    for row, (_, mf) in zip(mu, var.terms):  # declaration order
+        assert np.array_equal(row, mf.membership(grid))
+    for a in (grid, mu):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    assert var.memberships is var.memberships  # derived once per variable
+    return (mu != 0.0).sum(axis=0)  # nonzero terms per column
 
 
-def test_run_table_of_the_default_output(variables):
+def test_membership_table_of_the_default_output(variables):
     _, output = variables
-    runs = check_run_table(output)
-    assert max(len(terms) for _, terms in runs) == 2
+    nonzero = check_membership_table(output)
+    assert nonzero.max() == 2
     # the peaks at 0, 1/2 and 1 fall on grid columns, where one term is nonzero
-    assert [cols for cols, terms in runs if len(terms) == 1] == [slice(0, 1), slice(500, 501), slice(1000, 1001)]
-    assert output.runs is output.runs  # derived once per variable
+    assert np.flatnonzero(nonzero == 1).tolist() == [0, 500, 1000]
 
 
 # Overlapping output terms: up to four are nonzero in one column, and TOP,
@@ -725,10 +716,11 @@ OVERLAP_OUTPUT = FuzzyVariable(
 )
 
 
-def test_run_table_of_overlapping_terms():
-    runs = check_run_table(OVERLAP_OUTPUT)
-    assert max(len(terms) for _, terms in runs) == 4
-    assert runs[-1][0] == slice(1000, 1001) and [t for t, _ in runs[-1][1]] == ["TOP"]
+def test_membership_table_of_overlapping_terms():
+    nonzero = check_membership_table(OVERLAP_OUTPUT)
+    assert nonzero.max() == 4
+    _, mu = OVERLAP_OUTPUT.memberships
+    assert nonzero[-1] == 1 and mu[-1, -1] == 1.0  # TOP alone at the right end
 
 
 def test_evaluate_many_equals_rule_by_rule_with_overlapping_terms(variables):
@@ -766,15 +758,11 @@ def check_count_below(table):
 
 
 def check_centroid_tables(var):
-    grid, runs = var.runs
-    mu = {t: mf.membership(grid) for t, mf in var.terms}
+    grid, rows = var.memberships
+    mu = dict(zip(var.term_names(), rows))
     tables = var.centroid_tables
-    subsets = {
-        tuple(t for t, _ in sub)
-        for _, terms in runs
-        for k in range(len(terms))
-        for sub in itertools.combinations(terms, k + 1)
-    }
+    columns = {tuple(t for t, nonzero in zip(mu, column) if nonzero) for column in (rows != 0.0).T}
+    subsets = {sub for terms in columns for k in range(len(terms)) for sub in itertools.combinations(terms, k + 1)}
     assert sorted(table.terms for table in tables) == sorted(subsets)
     for table in tables:
         assert table.odd == (len(table.terms) % 2 == 1)
@@ -829,7 +817,7 @@ def test_evaluate_many_closed_form_on_trapezoid_outputs(variables, output, data)
     strength.  A NaN input has membership 0 in every term, as in the
     rule-by-rule reference."""
     inputs, _ = variables
-    grid, _ = output.runs
+    grid, _ = output.memberships
     tie = st.builds(
         lambda k, j: float(output.terms[k][1].membership(grid[j])),
         st.integers(0, len(output.terms) - 1),

@@ -13,9 +13,9 @@ from gridmark.wavelet import (
     add_atoms,
     decompose3,
     dwt2,
-    embed_coefficients,
     idwt2,
     reconstruct3,
+    to_block_stack,
     tree_energy,
 )
 
@@ -182,6 +182,12 @@ def test_embed_atoms_orthonormal_with_entries_one_eighth():
         assert [tree.band(p)[0, 0] for p in EMBED_BANDS] == list(EMBED_ATOMS[:, e])
 
 
+def embed_coefficients(m):
+    """The 8 embedding bands of m from its block stack, as one (8, nb, nb) array."""
+    nb = len(m) // 8
+    return (to_block_stack(m) @ EMBED_ATOMS.T).T.reshape(8, nb, nb)
+
+
 def _tree_bands(m):
     tree = decompose3(m)
     return np.stack([tree.band(p) for p in EMBED_BANDS])
@@ -223,9 +229,9 @@ def test_add_atoms_leaves_zero_delta_blocks_exact():
 
 def test_atom_helpers_reject_bad_shapes():
     with pytest.raises(DimensionError):
-        embed_coefficients(np.zeros((12, 12)))
+        to_block_stack(np.zeros((12, 12)))
     with pytest.raises(NotSquareError):
-        embed_coefficients(np.zeros((8, 16)))
+        to_block_stack(np.zeros((8, 16)))
     with pytest.raises(DimensionError):
         add_atoms(np.zeros((16, 16)), np.zeros((8, 1, 1)))
 
